@@ -36,7 +36,6 @@ from .gaussian import (
 from .mc_pricer import (
     Estimator,
     McConfig,
-    McResult,
     estimator_variance_comparison,
     euler_path,
     rbb_price,
@@ -51,11 +50,8 @@ from .models import (
 )
 from .price_grid import QuantizedPriceGrid, quantize_price_process
 from .quant_pricer import (
-    QuantizedMeasure,
     forward_induction,
-    knockout_survival_measure,
     price_barrier,
-    price_barrier_both,
     price_barrier_quant,
     prune_knocked_rows,
     quantized_kernel,
@@ -64,7 +60,6 @@ from .tables import TABLE_SPECS, run_table, write_table_csv
 from .transitions import (
     TransitionMatrix,
     cell_boundaries,
-    chain_marginals,
     transition_matrices,
     transition_matrix,
 )

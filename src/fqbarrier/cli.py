@@ -79,7 +79,7 @@ def run_config(config: dict) -> PricingResult:
             seed=int(params.get("seed", DEFAULT_SEED)),
             estimator=Estimator(params.get("estimator", "indicator")),
         )
-        return rbb_price(model, contract, cfg).as_pricing_result()
+        return rbb_price(model, contract, cfg)
     if method == "closed":
         if not isinstance(model, BlackScholes):
             raise ValueError("closed form unavailable for pseudo-CEV")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,8 @@ class BarrierContract:
     maturity: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.strike, self.barrier, self.maturity)):
+            raise ValueError("strike, barrier and maturity must be finite")
         if self.strike <= 0.0 or self.barrier <= 0.0 or self.maturity <= 0.0:
             raise ValueError("strike, barrier and maturity must be positive")
 

@@ -28,13 +28,13 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
+from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from .contracts import BarrierContract, BarrierType, PricingResult
 from .models import Model
 
 __all__ = [
     "Estimator",
     "McConfig",
-    "McResult",
     "euler_path",
     "rbb_price",
     "rbb_price_levels",
@@ -60,23 +60,6 @@ class McConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
-
-
-@dataclass
-class McResult:
-    price: float
-    sample_variance: float
-    std_error: float
-    elapsed: float
-
-    def as_pricing_result(self) -> PricingResult:
-        return PricingResult(
-            price=self.price,
-            method="rbb",
-            elapsed=self.elapsed,
-            sample_variance=self.sample_variance,
-            std_error=self.std_error,
-        )
 
 
 def euler_path(model: Model, n_steps: int, maturity: float, normals) -> np.ndarray:
@@ -147,21 +130,14 @@ def _simulate_levels(
             sig = np.asarray(model.diffusion(X))
             Xn = X + model.drift(X) * dt + sig * sq * Z[:, k]
             if conditional:
-                d_prev = X[:, None] - levels[None, :]
-                d_next = Xn[:, None] - levels[None, :]
-                denom = T * (sig * sig)[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ex = -2.0 * n * d_prev * d_next / denom
-                    body = 1.0 - np.exp(np.minimum(ex, 0.0))
+                # an Euler path can cross zero, making sig negative; the
+                # bridge law depends on sig only through sig^2
+                params = BridgeParams(n, T, np.abs(sig)[:, None])
+                x, y, u = X[:, None], Xn[:, None], levels[None, :]
                 if up:
-                    alive = np.maximum(X, Xn)[:, None] <= levels[None, :]
+                    factors *= bridge_max_cdf(x, y, u, params)
                 else:
-                    alive = np.minimum(X, Xn)[:, None] >= levels[None, :]
-                factor = np.where(alive, body, 0.0)
-                degenerate = (sig == 0.0)[:, None]
-                if degenerate.any():
-                    factor = np.where(degenerate, alive.astype(float), factor)
-                factors *= factor
+                    factors *= 1.0 - bridge_min_cdf(x, y, u, params)
             else:
                 # extremum draw by inverting the bridge law with uniform V
                 root = np.sqrt((X - Xn) ** 2 - 2.0 * T * sig * sig * np.log(V[:, k]) / n)
@@ -185,14 +161,17 @@ def _simulate_levels(
     return sums, sumsq
 
 
-def _results_from_sums(sums, sumsq, n_paths: int, elapsed: float) -> list[McResult]:
+def _results_from_sums(sums, sumsq, n_paths: int, elapsed: float) -> list[PricingResult]:
     mean = sums / n_paths
     if n_paths > 1:
         var = np.maximum(sumsq - n_paths * mean**2, 0.0) / (n_paths - 1)
     else:
         var = np.zeros_like(mean)
     se = np.sqrt(var / n_paths)
-    return [McResult(float(p), float(v), float(s), elapsed) for p, v, s in zip(mean, var, se)]
+    return [
+        PricingResult(float(p), "rbb", elapsed, sample_variance=float(v), std_error=float(s))
+        for p, v, s in zip(mean, var, se)
+    ]
 
 
 def rbb_price_levels(
@@ -200,7 +179,7 @@ def rbb_price_levels(
     contract: BarrierContract,
     levels,
     cfg: McConfig,
-) -> list[McResult]:
+) -> list[PricingResult]:
     """Price the contract at several barrier levels over one shared path set.
 
     The contract's own barrier is ignored in favor of ``levels``; every
@@ -212,7 +191,7 @@ def rbb_price_levels(
     return _results_from_sums(sums, sumsq, cfg.n_paths, time.perf_counter() - start)
 
 
-def rbb_price(model: Model, contract: BarrierContract, cfg: McConfig) -> McResult:
+def rbb_price(model: Model, contract: BarrierContract, cfg: McConfig) -> PricingResult:
     """Monte Carlo price of a knock-out option with the configured estimator.
 
     The estimate is unbiased for the Euler scheme with per-interval bridge

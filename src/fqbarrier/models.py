@@ -42,6 +42,8 @@ class BlackScholes:
     x0: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.r, self.sigma, self.x0)):
+            raise ValueError("r, sigma and x0 must be finite")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
         if self.x0 <= 0.0:
@@ -73,6 +75,8 @@ class PseudoCEV:
     x0: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.r, self.vartheta, self.delta, self.x0)):
+            raise ValueError("r, vartheta, delta and x0 must be finite")
         if self.vartheta <= 0.0:
             raise ValueError("vartheta must be positive")
         if not 0.0 < self.delta < 1.0:

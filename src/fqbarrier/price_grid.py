@@ -59,11 +59,6 @@ class QuantizedPriceGrid:
     def d_n(self) -> int:
         return self.grids.shape[1]
 
-    @property
-    def x0_cell(self) -> int:
-        # all rank-0 entries coincide at x0, so the initial cell is rank 0
-        return 0
-
     def grid_at(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.n_steps:
             raise IndexError(f"step index {k} outside 0..{self.n_steps}")
@@ -131,7 +126,8 @@ def quantize_price_process(
             t = k * dt + s * h
             for i in range(7):
                 xi = x + h * (RK6_A[i, :i] @ stages[:i]) if i else x
-                stages[i] = rhs(t + RK6_C[i] * h, xi)
+                # k dt + s h + c h can round one ulp past T at the last stage
+                stages[i] = rhs(min(t + RK6_C[i] * h, T), xi)
             x = x + h * (RK6_B @ stages)
         bad = ~np.isfinite(x)
         if np.any(bad):

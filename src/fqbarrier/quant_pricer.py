@@ -10,59 +10,31 @@ with g the per-interval no-knock-out probability: G_{x,y}(L) for an
 up-and-out contract, 1 - F_{x,y}(L) for a down-and-out one.  Pushing the
 initial point mass through the kernels yields a sub-probability measure on
 the terminal grid whose total mass is the survival probability; discounting
-the expected payoff under it prices the option.  The measure does not
-depend on the payoff, so call and put come from a single induction pass.
+the expected payoff under it prices the option.  Each kernel is built
+as the induction reaches its step and dropped after it, so only one
+d_N x d_N kernel is alive at a time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from .brownian import brownian_product_quantizer
-from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
+from .contracts import BarrierContract, BarrierType, PricingResult
 from .models import Model
 from .price_grid import QuantizedPriceGrid, quantize_price_process
 from .transitions import TransitionMatrix, transition_matrices
 
 __all__ = [
-    "QuantizedMeasure",
     "quantized_kernel",
     "forward_induction",
     "prune_knocked_rows",
-    "knockout_survival_measure",
     "price_barrier",
-    "price_barrier_both",
     "price_barrier_quant",
 ]
-
-
-@dataclass(frozen=True)
-class QuantizedMeasure:
-    """Sub-probability masses over the grid ranks at one date."""
-
-    step: int
-    values: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.values.sum())
-
-
-def survival_factors(grid_prev, grid_next, contract: BarrierContract, params: BridgeParams) -> np.ndarray:
-    """Per-interval no-knock-out probability for every source/target pair.
-
-    ``params.sigma_x`` must hold the diffusion at the source grid points,
-    shaped to broadcast down the rows.
-    """
-    gp = np.asarray(grid_prev, dtype=float)[:, None]
-    gn = np.asarray(grid_next, dtype=float)[None, :]
-    if contract.barrier_type is BarrierType.UP_AND_OUT:
-        return bridge_max_cdf(gp, gn, contract.barrier, params)
-    return 1.0 - bridge_min_cdf(gp, gn, contract.barrier, params)
 
 
 def quantized_kernel(
@@ -70,35 +42,45 @@ def quantized_kernel(
     grid_next,
     transition: TransitionMatrix,
     contract: BarrierContract,
-    model: Model,
     params: BridgeParams,
 ) -> np.ndarray:
     """Entrywise product of the transition row and the barrier survival factor.
 
-    ``params.sigma_x`` carries the diffusion of ``model`` at the source
-    grid points (column-shaped so it broadcasts down the rows).
+    ``params.sigma_x`` must hold the diffusion at the source grid points,
+    column-shaped so it broadcasts down the rows.
     """
-    gp = np.asarray(grid_prev, dtype=float)
-    gn = np.asarray(grid_next, dtype=float)
+    gp = np.asarray(grid_prev, dtype=float)[:, None]
+    gn = np.asarray(grid_next, dtype=float)[None, :]
     if transition.entries.shape != (gp.size, gn.size):
         raise ValueError("transition matrix shape does not match the grids")
-    return survival_factors(gp, gn, contract, params) * transition.entries
+    if contract.barrier_type is BarrierType.UP_AND_OUT:
+        survival = bridge_max_cdf(gp, gn, contract.barrier, params)
+    else:
+        survival = 1.0 - bridge_min_cdf(gp, gn, contract.barrier, params)
+    return survival * transition.entries
 
 
-def forward_induction(kernels: list[np.ndarray], x0_cell: int) -> QuantizedMeasure:
-    """Propagate a unit mass at the initial cell through the kernels."""
-    if not kernels:
+def forward_induction(kernels) -> np.ndarray:
+    """Terminal sub-probability masses of the chain started at x0.
+
+    Date 0 is d_N copies of x0, so every row of the first kernel is the
+    law after one step; row 0 starts the recursion.  ``kernels`` may be a
+    generator: each kernel is released before the next one is drawn.
+    """
+    pi = None
+    step = 0
+    for H in kernels:
+        if pi is None:
+            pi = H[0].copy()
+        elif H.shape[0] != pi.size:
+            raise ValueError(f"kernel {step} has {H.shape[0]} rows, expected {pi.size}")
+        else:
+            pi = pi @ H
+        step += 1
+        del H
+    if pi is None:
         raise ValueError("need at least one kernel")
-    rows = kernels[0].shape[0]
-    if not 0 <= x0_cell < rows:
-        raise ValueError("x0_cell outside the first kernel's rows")
-    pi = np.zeros(rows)
-    pi[x0_cell] = 1.0
-    for k, H in enumerate(kernels):
-        if H.shape[0] != pi.size:
-            raise ValueError(f"kernel {k} has {H.shape[0]} rows, expected {pi.size}")
-        pi = pi @ H
-    return QuantizedMeasure(len(kernels), pi)
+    return pi
 
 
 def prune_knocked_rows(
@@ -110,8 +92,10 @@ def prune_knocked_rows(
 
     Those rows are already structurally zero (the survival factor kills
     them), so the pruned kernels reproduce the unpruned computation
-    bit for bit; skipping them in the induction is pure bookkeeping.
+    bit for bit.
     """
+    # no longer called by the pricer; kept because the benchmark tracer
+    # wraps this module attribute by name
     out = []
     up = contract.barrier_type is BarrierType.UP_AND_OUT
     for k, H in enumerate(kernels):
@@ -124,58 +108,30 @@ def prune_knocked_rows(
     return out
 
 
-def _build_kernels(
-    model: Model,
-    contract: BarrierContract,
-    grid: QuantizedPriceGrid,
-    matrices: list[TransitionMatrix],
-) -> list[np.ndarray]:
-    kernels = []
-    for k, tm in enumerate(matrices):
-        gp = grid.grids[k]
-        params = BridgeParams(grid.n_steps, grid.horizon, np.asarray(model.diffusion(gp))[:, None])
-        kernels.append(quantized_kernel(gp, grid.grids[k + 1], tm, contract, model, params))
-    return prune_knocked_rows(kernels, grid.grids, contract)
-
-
-def knockout_survival_measure(
-    model: Model,
-    contract: BarrierContract,
-    grid: QuantizedPriceGrid,
-    matrices: list[TransitionMatrix],
-) -> QuantizedMeasure:
-    """Terminal sub-probability measure of the no-knock-out event."""
-    if len(matrices) != grid.n_steps:
-        raise ValueError("need exactly one transition matrix per pricing step")
-    kernels = _build_kernels(model, contract, grid, matrices)
-    return forward_induction(kernels, grid.x0_cell)
-
-
-def price_barrier_both(
-    model: Model,
-    contract: BarrierContract,
-    grid: QuantizedPriceGrid,
-    matrices: list[TransitionMatrix],
-) -> tuple[float, float]:
-    """Discounted call and put prices from a single induction pass."""
-    measure = knockout_survival_measure(model, contract, grid, matrices)
-    terminal = grid.grids[grid.n_steps]
-    disc = np.exp(-model.r * contract.maturity)
-    call = disc * float(measure.values @ np.maximum(terminal - contract.strike, 0.0))
-    put = disc * float(measure.values @ np.maximum(contract.strike - terminal, 0.0))
-    return call, put
-
-
 def price_barrier(
     model: Model,
     contract: BarrierContract,
     grid: QuantizedPriceGrid,
     matrices: list[TransitionMatrix],
 ) -> PricingResult:
-    """Price the contract's payoff on prebuilt grids and transition matrices."""
+    """Price the contract on prebuilt grids and transition matrices.
+
+    The kernels are built one step at a time as the induction consumes
+    them, so memory beyond the inputs does not grow with the step count.
+    """
     start = time.perf_counter()
-    call, put = price_barrier_both(model, contract, grid, matrices)
-    price = call if contract.payoff_type is PayoffType.CALL else put
+    if len(matrices) != grid.n_steps:
+        raise ValueError("need exactly one transition matrix per pricing step")
+
+    def kernels():
+        for k, tm in enumerate(matrices):
+            gp = grid.grids[k]
+            params = BridgeParams(grid.n_steps, grid.horizon, np.asarray(model.diffusion(gp))[:, None])
+            yield quantized_kernel(gp, grid.grids[k + 1], tm, contract, params)
+
+    pi = forward_induction(kernels())
+    disc = np.exp(-model.r * contract.maturity)
+    price = disc * float(pi @ contract.payoff(grid.grids[grid.n_steps]))
     return PricingResult(price=price, method="quant", elapsed=time.perf_counter() - start)
 
 

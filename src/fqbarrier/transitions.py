@@ -29,7 +29,6 @@ __all__ = [
     "cell_boundaries",
     "transition_matrix",
     "transition_matrices",
-    "chain_marginals",
     "dump_transitions",
 ]
 
@@ -105,25 +104,6 @@ def transition_matrices(model: Model, grid: QuantizedPriceGrid, cdf_mode: str | 
         transition_matrix(model, grid.grids[k - 1], grid.grids[k], dt, cdf_mode, step=k)
         for k in range(1, grid.n_steps + 1)
     ]
-
-
-def chain_marginals(grids, matrices: list[TransitionMatrix], x0_cell: int = 0) -> list[np.ndarray]:
-    """Push a point mass at the initial cell through the chain.
-
-    Returns the marginal weight vector at every date (diagnostic: each one
-    sums to one up to rounding).
-    """
-    if len(grids) != len(matrices) + 1:
-        raise ValueError("need one more grid than transition matrices")
-    w = np.zeros(np.asarray(grids[0]).size)
-    w[x0_cell] = 1.0
-    out = [w]
-    for k, tm in enumerate(matrices, start=1):
-        target = np.asarray(grids[k]).size
-        if tm.entries.shape != (out[-1].size, target):
-            raise ValueError(f"transition matrix at step {tm.step} has inconsistent shape")
-        out.append(out[-1] @ tm.entries)
-    return out
 
 
 def dump_transitions(matrices: list[TransitionMatrix], path) -> None:

@@ -213,7 +213,7 @@ def test_criterion_9_structural_invariants(quant_pipeline):
     for k, tm in enumerate(mats):
         gp = grid.grids[k]
         sigma = np.asarray(BS07.diffusion(gp))[:, None]
-        H = quantized_kernel(gp, grid.grids[k + 1], tm, contract, BS07, BridgeParams(20, 1.0, sigma))
+        H = quantized_kernel(gp, grid.grids[k + 1], tm, contract, BridgeParams(20, 1.0, sigma))
         pi = pi @ H
         masses.append(float(pi.sum()))
     checks.append(("mass nonincreasing", all(a >= b - 1e-15 for a, b in zip(masses, masses[1:]))))

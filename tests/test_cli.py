@@ -128,6 +128,14 @@ class TestPriceCommands:
     def test_missing_config_file_fails(self):
         assert main(["price-closed", "--config", "/nonexistent/conf.json"]) == 1
 
+    def test_non_finite_config_value_fails(self, bs_config, tmp_path, capsys):
+        _, cfg = bs_config
+        cfg["contract"]["strike"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["price-closed", "--config", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestTableCommand:
     def test_table_one_reduced(self, tmp_path):

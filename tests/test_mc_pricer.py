@@ -115,12 +115,13 @@ class TestRbbPrice:
         assert abs(res.price - closed) <= 3.0 * res.std_error + 0.02
 
     def test_down_and_out_matches_closed_form(self):
-        cfg = McConfig(n_steps=100, n_paths=200_000, seed=29)
-        res = rbb_price(BS07, docall(90.0), cfg)
         closed = barrier_price(
             100.0, 100.0, 90.0, 1.0, 0.15, 0.07, BarrierType.DOWN_AND_OUT, PayoffType.CALL
         )
-        assert abs(res.price - closed) <= 3.0 * res.std_error + 0.02
+        for estimator in Estimator:
+            cfg = McConfig(n_steps=100, n_paths=200_000, seed=29, estimator=estimator)
+            res = rbb_price(BS07, docall(90.0), cfg)
+            assert abs(res.price - closed) <= 3.0 * res.std_error + 0.02
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

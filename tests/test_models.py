@@ -59,6 +59,20 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             PseudoCEV(r=0.1, vartheta=0.7, delta=1.0, x0=100.0)
 
+    @pytest.mark.parametrize("field", ["r", "sigma", "x0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_black_scholes_rejects_non_finite(self, field, bad):
+        params = {"r": 0.1, "sigma": 0.1, "x0": 100.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            BlackScholes(**params)
+
+    @pytest.mark.parametrize("field", ["r", "vartheta", "delta", "x0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pseudo_cev_rejects_non_finite(self, field, bad):
+        params = {"r": 0.1, "vartheta": 0.7, "delta": 0.5, "x0": 100.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            PseudoCEV(**params)
+
 
 class TestExactConditionalCdf:
     def test_median(self):

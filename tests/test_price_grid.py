@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fqbarrier.brownian import build_product_quantizer
+from fqbarrier.brownian import brownian_product_quantizer, build_product_quantizer
 from fqbarrier.models import BlackScholes
 from fqbarrier.price_grid import RK6_A, RK6_B, RK6_C, dump_grids, quantize_price_process
 from tests.conftest import BS07
@@ -102,6 +102,13 @@ class TestGridStructure:
             quantize_price_process(BS07, bq966, 0)
         with pytest.raises(ValueError):
             quantize_price_process(BS07, bq966, 5, substeps=0)
+
+    @pytest.mark.parametrize("n_steps", [40, 45])
+    def test_stage_times_stay_inside_horizon(self, n_steps):
+        # k dt + s h + h rounds one ulp past T = 1 at these step counts
+        grid = quantize_price_process(BS07, brownian_product_quantizer(200, 1.0), n_steps, substeps=4)
+        assert grid.grids.shape[0] == n_steps + 1
+        assert np.all(np.isfinite(grid.grids))
 
 
 class _PlungingModel:

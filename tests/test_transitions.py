@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fqbarrier.models import conditional_cdf_exact
+from fqbarrier.quant_pricer import forward_induction
 from fqbarrier.transitions import (
+    TransitionMatrix,
     cell_boundaries,
-    chain_marginals,
     dump_transitions,
     transition_matrix,
 )
@@ -94,42 +95,47 @@ class TestTransitionMatrix:
             transition_matrix(BS07, [100.0], [110.0], 0.1, cdf_mode="magic")
 
 
+def _marginals(mats, x0_cell=0):
+    """Weight vector at every date of the chain started in ``x0_cell``: e0 P1 ... Pk."""
+    w = np.zeros(mats[0].entries.shape[0])
+    w[x0_cell] = 1.0
+    out = [w]
+    for tm in mats:
+        out.append(out[-1] @ tm.entries)
+    return out
+
+
 class TestChainMarginals:
     def test_single_step_frozen(self):
         grids = [np.array([100.0, 100.0]), np.array([90.0, 110.0])]
         mats = [transition_matrix(BS07, grids[0], grids[1], 0.1, cdf_mode="exact", step=1)]
-        w = chain_marginals(grids, mats)
+        w = _marginals(mats)
         assert w[0].tolist() == [1.0, 0.0]
         assert w[1] == pytest.approx(EXACT_ROW, abs=1e-9)
+        assert forward_induction(tm.entries for tm in mats).tolist() == w[1].tolist()
 
     def test_identity_matrices_keep_mass_fixed(self):
-        from fqbarrier.transitions import TransitionMatrix
-
-        grids = [np.array([1.0, 2.0])] * 4
         mats = [TransitionMatrix(k, np.eye(2)) for k in (1, 2, 3)]
-        w = chain_marginals(grids, mats, x0_cell=1)
-        for wk in w:
+        for wk in _marginals(mats, x0_cell=1):
             assert wk.tolist() == [0.0, 1.0]
+        assert forward_induction(tm.entries for tm in mats).tolist() == [1.0, 0.0]
 
     def test_marginal_masses_are_probabilities(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
-        for wk in chain_marginals(grid.grids, mats):
+        for wk in _marginals(mats):
             assert abs(wk.sum() - 1.0) < 1e-10
 
     def test_pushforward_mean_tracks_forward_price(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
-        w = chain_marginals(grid.grids, mats)
-        mean = float(w[-1] @ grid.grids[-1])
+        w = forward_induction(tm.entries for tm in mats)
+        mean = float(w @ grid.grids[-1])
         forward = 100.0 * math.exp(0.15)
         assert abs(mean - forward) / forward < 0.02
 
     def test_dimension_mismatch(self):
-        from fqbarrier.transitions import TransitionMatrix
-
-        grids = [np.array([1.0, 2.0])] * 3
         mats = [TransitionMatrix(1, np.eye(2)), TransitionMatrix(2, np.eye(3))]
         with pytest.raises(ValueError):
-            chain_marginals(grids, mats)
+            forward_induction(tm.entries for tm in mats)
 
 
 class TestDump:
