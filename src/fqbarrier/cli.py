@@ -64,12 +64,12 @@ def run_config(config: dict) -> PricingResult:
         grid = quantize_price_process(
             model, quantizer, int(params.get("steps", 20)), int(params.get("substeps", 4))
         )
-        matrices = transition_matrices(model, grid, params.get("cdf_mode"))
+        cdf_mode = params.get("cdf_mode")
         if params.get("dump_grids"):
             dump_grids(grid, params["dump_grids"])
         if params.get("dump_transitions"):
-            dump_transitions(matrices, params["dump_transitions"])
-        result = price_barrier(model, contract, grid, matrices)
+            dump_transitions(transition_matrices(model, grid, cdf_mode), params["dump_transitions"])
+        result = price_barrier(model, contract, grid, cdf_mode)
         result.elapsed = time.perf_counter() - start
         return result
     if method == "rbb":

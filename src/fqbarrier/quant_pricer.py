@@ -10,9 +10,13 @@ with g the per-interval no-knock-out probability: G_{x,y}(L) for an
 up-and-out contract, 1 - F_{x,y}(L) for a down-and-out one.  Pushing the
 initial point mass through the kernels yields a sub-probability measure on
 the terminal grid whose total mass is the survival probability; discounting
-the expected payoff under it prices the option.  Each kernel is built
-as the induction reaches its step and dropped after it, so only one
-d_N x d_N kernel is alive at a time.
+the expected payoff under it prices the option.
+
+A survival factor is exactly 0 when either end of the interval lies
+beyond the barrier, so the kernel of step k is built only between the
+live points of date k-1 and the live cells of date k, from the single
+point x0 at step 1.  Each kernel is built as the induction reaches its
+step and dropped after it, so memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult
 from .models import Model
 from .price_grid import QuantizedPriceGrid, quantize_price_process
-from .transitions import TransitionMatrix, transition_matrices
+from .transitions import conditional_cdf, transition_block
+from .transitions import transition_matrices  # noqa: F401  the benchmark tracer wraps this attribute
 
 __all__ = [
     "quantized_kernel",
@@ -40,32 +45,33 @@ __all__ = [
 def quantized_kernel(
     grid_prev,
     grid_next,
-    transition: TransitionMatrix,
+    p: np.ndarray,
     contract: BarrierContract,
     params: BridgeParams,
 ) -> np.ndarray:
-    """Entrywise product of the transition row and the barrier survival factor.
+    """Entrywise product of the transition probabilities and the barrier survival factor.
 
-    ``params.sigma_x`` must hold the diffusion at the source grid points,
-    column-shaped so it broadcasts down the rows.
+    ``p[i, j]`` is the probability of moving from ``grid_prev[i]`` into the
+    cell of ``grid_next[j]``.  ``params.sigma_x`` must hold the diffusion at
+    the source grid points, column-shaped so it broadcasts down the rows.
     """
     gp = np.asarray(grid_prev, dtype=float)[:, None]
     gn = np.asarray(grid_next, dtype=float)[None, :]
-    if transition.entries.shape != (gp.size, gn.size):
+    if np.shape(p) != (gp.size, gn.size):
         raise ValueError("transition matrix shape does not match the grids")
     if contract.barrier_type is BarrierType.UP_AND_OUT:
         survival = bridge_max_cdf(gp, gn, contract.barrier, params)
     else:
         survival = 1.0 - bridge_min_cdf(gp, gn, contract.barrier, params)
-    return survival * transition.entries
+    return survival * p
 
 
 def forward_induction(kernels) -> np.ndarray:
     """Terminal sub-probability masses of the chain started at x0.
 
-    Date 0 is d_N copies of x0, so every row of the first kernel is the
-    law after one step; row 0 starts the recursion.  ``kernels`` may be a
-    generator: each kernel is released before the next one is drawn.
+    Row 0 of the first kernel is the law after one step from x0 and starts
+    the recursion.  ``kernels`` may be a generator: each kernel is released
+    before the next one is drawn.
     """
     pi = None
     step = 0
@@ -108,30 +114,50 @@ def prune_knocked_rows(
     return out
 
 
+def _live_cells(points: np.ndarray, contract: BarrierContract) -> tuple[int, int]:
+    """Index range [lo, hi) of the ascending ``points`` on the live side of the barrier, the barrier included."""
+    if contract.barrier_type is BarrierType.UP_AND_OUT:
+        return 0, int(np.searchsorted(points, contract.barrier, "right"))
+    return int(np.searchsorted(points, contract.barrier, "left")), points.size
+
+
 def price_barrier(
     model: Model,
     contract: BarrierContract,
     grid: QuantizedPriceGrid,
-    matrices: list[TransitionMatrix],
+    cdf_mode: str | None = None,
 ) -> PricingResult:
-    """Price the contract on prebuilt grids and transition matrices.
+    """Price the contract on prebuilt grids.
 
-    The kernels are built one step at a time as the induction consumes
-    them, so memory beyond the inputs does not grow with the step count.
+    ``cdf_mode`` selects the one-step conditional law as in
+    ``transition_block``.  A contract whose live set is empty at some date
+    prices exactly 0.
     """
     start = time.perf_counter()
-    if len(matrices) != grid.n_steps:
-        raise ValueError("need exactly one transition matrix per pricing step")
+    grids, n = grid.grids, grid.n_steps
+    conditional_cdf(model, cdf_mode)  # reject a bad mode before any early return
+    if n < 1 or grids.ndim != 2 or grids.shape[0] != n + 1 or grids.shape[1] == 0:
+        raise ValueError("need n_steps >= 1 and one nonempty grid per pricing date")
+    if not grid.horizon > 0.0:
+        raise ValueError("dt must be positive")
+    dt = grid.horizon / n
+    live = [_live_cells(points, contract) for points in grids]
 
     def kernels():
-        for k, tm in enumerate(matrices):
-            gp = grid.grids[k]
-            params = BridgeParams(grid.n_steps, grid.horizon, np.asarray(model.diffusion(gp))[:, None])
-            yield quantized_kernel(gp, grid.grids[k + 1], tm, contract, params)
+        src = grids[0][:1]  # date 0 is d_N copies of x0
+        for k in range(1, n + 1):
+            lo, hi = live[k]
+            dst = grids[k][lo:hi]
+            p = transition_block(model, src, grids[k], lo, hi, dt, cdf_mode)
+            params = BridgeParams(n, grid.horizon, np.asarray(model.diffusion(src))[:, None])
+            yield quantized_kernel(src, dst, p, contract, params)
+            src = dst
 
-    pi = forward_induction(kernels())
-    disc = np.exp(-model.r * contract.maturity)
-    price = disc * float(pi @ contract.payoff(grid.grids[grid.n_steps]))
+    price = 0.0
+    if all(lo < hi for lo, hi in live):
+        pi = forward_induction(kernels())
+        lo, hi = live[n]
+        price = np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(grids[n][lo:hi]))
     return PricingResult(price=price, method="quant", elapsed=time.perf_counter() - start)
 
 
@@ -143,7 +169,7 @@ def price_barrier_quant(
     substeps: int = 4,
     cdf_mode: str | None = None,
 ) -> PricingResult:
-    """End-to-end quantization price: build paths, grids, kernels, induct.
+    """End-to-end quantization price: build paths and grids, then induct.
 
     ``cdf_mode=None`` picks the exact conditional law when the model has
     one and the Euler proxy otherwise.
@@ -151,7 +177,6 @@ def price_barrier_quant(
     start = time.perf_counter()
     quantizer = brownian_product_quantizer(budget, contract.maturity)
     grid = quantize_price_process(model, quantizer, n_steps, substeps)
-    matrices = transition_matrices(model, grid, cdf_mode)
-    result = price_barrier(model, contract, grid, matrices)
+    result = price_barrier(model, contract, grid, cdf_mode)
     result.elapsed = time.perf_counter() - start
     return result

@@ -5,7 +5,8 @@ rate 0.15, maturity 1): three Black-Scholes configurations priced against
 the closed form, and two pseudo-CEV configurations priced against a
 high-resolution Monte Carlo reference (1e7 paths, 100 steps).  Each row
 reports the reference price, the bridge Monte Carlo price and per-sample
-variance, and the quantization price with its per-row pricing time.
+variance, and the quantization price with its per-row pricing time
+(transition probabilities included: each row builds its own).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .mc_pricer import McConfig, rbb_price_levels
 from .models import BlackScholes, Model, PseudoCEV
 from .price_grid import quantize_price_process
 from .quant_pricer import price_barrier
-from .transitions import transition_matrices
 
 __all__ = ["TableSpec", "TableRow", "TABLE_SPECS", "run_table", "write_table_csv", "read_table_csv"]
 
@@ -113,12 +113,11 @@ def run_table(
 
     quantizer = brownian_product_quantizer(budget, _MATURITY)
     grid = quantize_price_process(model, quantizer, spec.n_steps, substeps)
-    matrices = transition_matrices(model, grid)
 
     rows = []
     for i, lv in enumerate(levels):
         start = time.perf_counter()
-        qep = price_barrier(model, _contract(lv), grid, matrices)
+        qep = price_barrier(model, _contract(lv), grid)
         rows.append(
             TableRow(
                 level=lv,

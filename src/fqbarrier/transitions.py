@@ -10,8 +10,10 @@ the source point evaluated across the destination cells,
 where F is either the exact conditional distribution (Black-Scholes
 lognormal) or its one-step Euler Gaussian proxy.  By convention the bottom
 cell absorbs all mass below its upper boundary and the top cell all mass
-above its lower one, so rows sum to one; a final renormalization removes
-the residual rounding.
+above its lower one, so rows sum to one up to rounding (one ulp on the
+table grids); rows are not renormalized.  ``transition_block`` evaluates a
+contiguous range of destination cells, which is all the pricer needs on
+the live side of a barrier; ``transition_matrix`` is its full-range call.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .price_grid import QuantizedPriceGrid
 __all__ = [
     "TransitionMatrix",
     "cell_boundaries",
+    "conditional_cdf",
+    "transition_block",
     "transition_matrix",
     "transition_matrices",
     "dump_transitions",
@@ -53,18 +57,37 @@ def cell_boundaries(grid) -> np.ndarray:
     return np.concatenate(([0.0], 0.5 * (g[:-1] + g[1:]), [np.inf]))
 
 
-def transition_matrix(
+def conditional_cdf(model: Model, cdf_mode: str | None = None):
+    """The one-step conditional CDF ``F(model, z, x, dt)`` that ``cdf_mode`` selects.
+
+    Raises for an unknown mode and for "exact" on a model without a closed
+    form law.
+    """
+    if cdf_mode is None:
+        cdf_mode = "exact" if has_exact_transition_cdf(model) else "euler"
+    if cdf_mode == "exact":
+        if not has_exact_transition_cdf(model):
+            raise ValueError("exact conditional law unavailable for this model; use cdf_mode='euler'")
+        return conditional_cdf_exact
+    if cdf_mode == "euler":
+        return conditional_cdf_euler
+    raise ValueError(f"unknown cdf_mode {cdf_mode!r}")
+
+
+def transition_block(
     model: Model,
     grid_prev,
     grid_next,
+    lo: int,
+    hi: int,
     dt: float,
-    cdf_mode: str = "exact",
-    step: int = 0,
-) -> TransitionMatrix:
-    """Estimate the cell-to-cell transition probabilities for one step.
+    cdf_mode: str | None = None,
+) -> np.ndarray:
+    """Transition probabilities from every ``grid_prev`` point into cells ``lo..hi-1`` of ``grid_next``.
 
     ``cdf_mode`` selects the conditional distribution: "exact" (lognormal,
-    Black-Scholes only) or "euler" (one-step Gaussian proxy).
+    Black-Scholes only), "euler" (one-step Gaussian proxy) or None (exact
+    whenever the model has it).
     """
     gp = np.atleast_1d(np.asarray(grid_prev, dtype=float))
     gn = np.atleast_1d(np.asarray(grid_next, dtype=float))
@@ -72,24 +95,33 @@ def transition_matrix(
         raise ValueError("grids must be nonempty")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not 0 <= lo <= hi <= gn.size:
+        raise ValueError(f"cell range [{lo}, {hi}) outside a grid of {gn.size} points")
+    cdf = conditional_cdf(model, cdf_mode)
 
-    inner = 0.5 * (gn[:-1] + gn[1:])  # interior boundaries only
-    if cdf_mode == "exact":
-        if not has_exact_transition_cdf(model):
-            raise ValueError("exact conditional law unavailable for this model; use cdf_mode='euler'")
-        cum_inner = conditional_cdf_exact(model, inner[None, :], gp[:, None], dt)
-    elif cdf_mode == "euler":
-        cum_inner = conditional_cdf_euler(model, inner[None, :], gp[:, None], dt)
-    else:
-        raise ValueError(f"unknown cdf_mode {cdf_mode!r}")
+    # boundary b_j of cell j is the midpoint of points j-1 and j; b_0 = 0
+    # and b_d = +inf, where the CDF is 0 and 1
+    a, b = max(lo, 1), min(hi, gn.size - 1)
+    cum = np.empty((gp.size, hi - lo + 1))
+    cum[:, a - lo : b - lo + 1] = cdf(model, 0.5 * (gn[a - 1 : b] + gn[a : b + 1])[None, :], gp[:, None], dt)
+    if lo == 0:
+        cum[:, 0] = 0.0
+    if hi == gn.size:
+        cum[:, -1] = 1.0
+    return np.diff(cum, axis=1)
 
-    cum = np.empty((gp.size, gn.size + 1))
-    cum[:, 0] = 0.0  # bottom cell keeps everything below its upper boundary
-    cum[:, -1] = 1.0  # top cell extends to +inf
-    cum[:, 1:-1] = cum_inner
-    p = np.diff(cum, axis=1)
-    p /= p.sum(axis=1, keepdims=True)
-    return TransitionMatrix(step, p)
+
+def transition_matrix(
+    model: Model,
+    grid_prev,
+    grid_next,
+    dt: float,
+    cdf_mode: str | None = "exact",
+    step: int = 0,
+) -> TransitionMatrix:
+    """Cell-to-cell transition probabilities for one step, over every cell."""
+    n_next = np.atleast_1d(np.asarray(grid_next)).size
+    return TransitionMatrix(step, transition_block(model, grid_prev, grid_next, 0, n_next, dt, cdf_mode))
 
 
 def transition_matrices(model: Model, grid: QuantizedPriceGrid, cdf_mode: str | None = None) -> list[TransitionMatrix]:
@@ -97,8 +129,6 @@ def transition_matrices(model: Model, grid: QuantizedPriceGrid, cdf_mode: str | 
 
     With ``cdf_mode=None`` the exact law is used whenever the model has one.
     """
-    if cdf_mode is None:
-        cdf_mode = "exact" if has_exact_transition_cdf(model) else "euler"
     dt = grid.horizon / grid.n_steps
     return [
         transition_matrix(model, grid.grids[k - 1], grid.grids[k], dt, cdf_mode, step=k)

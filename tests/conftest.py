@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fqbarrier import (
     BlackScholes,
@@ -8,6 +9,10 @@ from fqbarrier import (
     quantize_price_process,
     transition_matrices,
 )
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("fqbarrier", derandomize=True, deadline=None, database=None)
+settings.load_profile("fqbarrier")
 
 BS07 = BlackScholes(r=0.15, sigma=0.07, x0=100.0)
 BS10 = BlackScholes(r=0.15, sigma=0.10, x0=100.0)
@@ -26,14 +31,28 @@ def bq966():
 
 
 @pytest.fixture(scope="session")
-def quant_pipeline(bq966):
-    """Factory for (grid, matrices) pairs, cached per configuration."""
+def quant_grid(bq966):
+    """Factory for price grids on the budget-1000 quantizer, cached per configuration."""
+    cache = {}
+
+    def build(model, n_steps, substeps=4):
+        key = (model, n_steps, substeps)
+        if key not in cache:
+            cache[key] = quantize_price_process(model, bq966, n_steps, substeps)
+        return cache[key]
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def quant_pipeline(quant_grid):
+    """Factory for (grid, full transition matrices) pairs, cached per configuration."""
     cache = {}
 
     def build(model, n_steps, substeps=4, cdf_mode=None):
         key = (model, n_steps, substeps, cdf_mode)
         if key not in cache:
-            grid = quantize_price_process(model, bq966, n_steps, substeps)
+            grid = quant_grid(model, n_steps, substeps)
             cache[key] = (grid, transition_matrices(model, grid, cdf_mode))
         return cache[key]
 

@@ -137,10 +137,10 @@ def test_criterion_5_conditional_estimator_reduces_variance():
     assert ok
 
 
-def test_criterion_6_ode_matches_black_scholes_closed_form(bq966, quant_pipeline):
+def test_criterion_6_ode_matches_black_scholes_closed_form(bq966, quant_grid):
     worst = 0.0
     for n_steps in (10, 20):
-        grid, _ = quant_pipeline(BS07, n_steps)
+        grid = quant_grid(BS07, n_steps)
         for k in range(n_steps + 1):
             t = grid.dates[k]
             exact = 100.0 * np.exp((0.15 - 0.07**2 / 2) * t + 0.07 * bq966.all_path_values(t))
@@ -213,18 +213,18 @@ def test_criterion_9_structural_invariants(quant_pipeline):
     for k, tm in enumerate(mats):
         gp = grid.grids[k]
         sigma = np.asarray(BS07.diffusion(gp))[:, None]
-        H = quantized_kernel(gp, grid.grids[k + 1], tm, contract, BridgeParams(20, 1.0, sigma))
+        H = quantized_kernel(gp, grid.grids[k + 1], tm.entries, contract, BridgeParams(20, 1.0, sigma))
         pi = pi @ H
         masses.append(float(pi.sum()))
     checks.append(("mass nonincreasing", all(a >= b - 1e-15 for a, b in zip(masses, masses[1:]))))
 
-    checks.append(("knocked-out price exactly 0", price_barrier(BS07, uoc(95.0), grid, mats).price == 0.0))
+    checks.append(("knocked-out price exactly 0", price_barrier(BS07, uoc(95.0), grid).price == 0.0))
 
-    prices = [price_barrier(BS07, uoc(L), grid, mats).price for L in (105, 110, 115, 120, 125, 130)]
+    prices = [price_barrier(BS07, uoc(L), grid).price for L in (105, 110, 115, 120, 125, 130)]
     checks.append(("price monotone in barrier", all(a <= b + 1e-12 for a, b in zip(prices, prices[1:]))))
 
     vanilla = vanilla_price(100.0, 100.0, 1.0, 0.15, 0.07, PayoffType.CALL)
-    far = price_barrier(BS07, uoc(1e6), grid, mats).price
+    far = price_barrier(BS07, uoc(1e6), grid).price
     checks.append(("far barrier within 1% of vanilla", abs(far - vanilla) / vanilla < 0.01))
 
     ok = all(flag for _, flag in checks)

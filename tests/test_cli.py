@@ -90,9 +90,11 @@ class TestPriceCommands:
         path, _ = bs_config
         grids_csv = tmp_path / "grids.csv"
         trans_csv = tmp_path / "trans.csv"
+        args = ["price-quant", "--config", str(path), "--steps", "3", "--budget", "6",
+                "--format", "json", "--precision", "full"]
         code = main(
-            ["price-quant", "--config", str(path), "--steps", "3", "--budget", "6",
-             "--dump-grids", str(grids_csv), "--dump-transitions", str(trans_csv)]
+            args + ["--out", str(tmp_path / "dumped.json"),
+                    "--dump-grids", str(grids_csv), "--dump-transitions", str(trans_csv)]
         )
         assert code == 0
         grid_lines = grids_csv.read_text().strip().splitlines()
@@ -101,6 +103,17 @@ class TestPriceCommands:
         trans_lines = trans_csv.read_text().strip().splitlines()
         assert trans_lines[0] == "k,i,j,p"
         assert len(trans_lines) == 1 + 3 * 36
+        row_sums = {}
+        with open(trans_csv, newline="") as fh:
+            for row in csv.DictReader(fh):
+                key = (row["k"], row["i"])
+                row_sums[key] = row_sums.get(key, 0.0) + float(row["p"])
+        assert len(row_sums) == 3 * 6
+        assert all(abs(total - 1.0) <= 1e-12 for total in row_sums.values())
+        # dumping leaves the price as it is without the dump flags
+        assert main(args + ["--out", str(tmp_path / "plain.json")]) == 0
+        dumped = json.loads((tmp_path / "dumped.json").read_text())["price"]
+        assert dumped == json.loads((tmp_path / "plain.json").read_text())["price"]
 
     def test_price_mc(self, bs_config, tmp_path):
         path, _ = bs_config

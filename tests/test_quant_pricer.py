@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fqbarrier.transitions as transitions
 from fqbarrier.bridge import BridgeParams
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
+from fqbarrier.models import BlackScholes
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import (
     forward_induction,
@@ -16,7 +19,7 @@ from fqbarrier.quant_pricer import (
     prune_knocked_rows,
     quantized_kernel,
 )
-from fqbarrier.transitions import TransitionMatrix, transition_matrices, transition_matrix
+from fqbarrier.transitions import transition_block, transition_matrices, transition_matrix
 from tests.conftest import BS07, PCEV07
 
 
@@ -34,11 +37,38 @@ def _params(model, grid_prev, n_steps, horizon=1.0):
 
 
 def _kernels(model, contract, grid, mats):
+    """Full d_N x d_N kernels H_1 ... H_n of the chain."""
     g = grid.grids
     return [
-        quantized_kernel(g[k], g[k + 1], tm, contract, _params(model, g[k], grid.n_steps))
+        quantized_kernel(g[k], g[k + 1], tm.entries, contract, _params(model, g[k], grid.n_steps))
         for k, tm in enumerate(mats)
     ]
+
+
+def _chain_price(model, contract, grid, mats):
+    """Discounted payoff under e0 H_1 ... H_n over every cell of every date."""
+    pi = forward_induction(_kernels(model, contract, grid, mats))
+    return np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(grid.grids[-1]))
+
+
+def _live_range(points, contract):
+    """[lo, hi) of the points on the live side of the barrier, the barrier included."""
+    up = contract.barrier_type is BarrierType.UP_AND_OUT
+    idx = np.flatnonzero(points <= contract.barrier if up else points >= contract.barrier)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+def _live_measure(model, contract, grid):
+    """Survival measure on the live terminal cells, built block by block from x0."""
+    g, n = grid.grids, grid.n_steps
+    src = g[0][:1]
+    blocks = []
+    for k in range(1, n + 1):
+        lo, hi = _live_range(g[k], contract)
+        p = transition_block(model, src, g[k], lo, hi, grid.horizon / n)
+        blocks.append(quantized_kernel(src, g[k][lo:hi], p, contract, _params(model, src, n)))
+        src = g[k][lo:hi]
+    return forward_induction(blocks), src
 
 
 class TestQuantizedKernel:
@@ -46,26 +76,24 @@ class TestQuantizedKernel:
         gp = np.array([95.0, 100.0, 105.0])
         gn = np.array([90.0, 101.0, 112.0])
         tm = transition_matrix(BS07, gp, gn, 0.1)
-        H = quantized_kernel(gp, gn, tm, uoc(1e18), _params(BS07, gp, 10))
+        H = quantized_kernel(gp, gn, tm.entries, uoc(1e18), _params(BS07, gp, 10))
         assert np.array_equal(H, tm.entries)
 
     def test_rows_beyond_barrier_vanish(self):
         gp = np.array([95.0, 100.0, 120.0])
         gn = np.array([90.0, 101.0, 118.0])
         tm = transition_matrix(BS07, gp, gn, 0.1)
-        H = quantized_kernel(gp, gn, tm, uoc(115.0), _params(BS07, gp, 10))
+        H = quantized_kernel(gp, gn, tm.entries, uoc(115.0), _params(BS07, gp, 10))
         assert np.all(H[2, :] == 0.0)
         assert np.all(H[:, 2] == 0.0)  # targets above the barrier die too
 
     def test_single_cell_frozen_value(self):
-        tm = TransitionMatrix(1, np.array([[1.0]]))
-        H = quantized_kernel([100.0], [100.0], tm, uoc(105.0), _params(BS07, [100.0], 10))
+        H = quantized_kernel([100.0], [100.0], np.array([[1.0]]), uoc(105.0), _params(BS07, [100.0], 10))
         assert H[0, 0] == pytest.approx(-math.expm1(-500.0 / 49.0), abs=1e-12)
 
     def test_shape_mismatch(self):
-        tm = TransitionMatrix(1, np.eye(3))
         with pytest.raises(ValueError):
-            quantized_kernel([100.0], [100.0], tm, uoc(105.0), _params(BS07, [100.0], 10))
+            quantized_kernel([100.0], [100.0], np.eye(3), uoc(105.0), _params(BS07, [100.0], 10))
 
 
 class TestForwardInduction:
@@ -119,10 +147,24 @@ class TestPruning:
 
 
 class TestPriceBarrier:
-    def test_knocked_out_from_start_prices_zero(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        assert price_barrier(BS07, uoc(95.0), grid, mats).price == 0.0
-        assert price_barrier(BS07, uoc(100.0), grid, mats).price == 0.0
+    def test_knocked_out_from_start_prices_zero(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        assert price_barrier(BS07, uoc(95.0), grid).price == 0.0
+        assert price_barrier(BS07, uoc(100.0), grid).price == 0.0
+
+    def test_checks_run_before_knock_out_at_x0(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        dead = uoc(95.0)
+        with pytest.raises(ValueError, match="unknown cdf_mode"):
+            price_barrier(BS07, dead, grid, cdf_mode="magic")
+        with pytest.raises(ValueError, match="exact conditional law unavailable"):
+            price_barrier(PCEV07, dead, quant_grid(PCEV07, 10), cdf_mode="exact")
+        with pytest.raises(ValueError, match="dt must be positive"):
+            price_barrier(BS07, dead, dataclasses.replace(grid, horizon=0.0))
+        with pytest.raises(ValueError, match="nonempty grid"):
+            price_barrier(BS07, dead, dataclasses.replace(grid, grids=np.empty((11, 0))))
+        with pytest.raises(ValueError, match="one nonempty grid per pricing date"):
+            price_barrier(BS07, dead, dataclasses.replace(grid, grids=grid.grids[:-1]))
 
     def test_survival_mass_monotone_in_step(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
@@ -140,56 +182,132 @@ class TestPriceBarrier:
         assert 0.0 < pi.sum() < 1.0
         assert np.all(pi >= 0.0)
 
-    def test_paper_level_prices(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        assert price_barrier(BS07, uoc(115.0), grid, mats).price == pytest.approx(2.59, abs=0.02)
-        assert price_barrier(BS07, uoc(130.0), grid, mats).price == pytest.approx(12.08, abs=0.02)
+    def test_paper_level_prices(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        assert price_barrier(BS07, uoc(115.0), grid).price == pytest.approx(2.59, abs=0.02)
+        assert price_barrier(BS07, uoc(130.0), grid).price == pytest.approx(12.08, abs=0.02)
 
-    def test_price_monotone_in_barrier(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        prices = [price_barrier(BS07, uoc(L), grid, mats).price for L in (105, 110, 115, 120, 130)]
+    def test_price_monotone_in_barrier(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        prices = [price_barrier(BS07, uoc(L), grid).price for L in (105, 110, 115, 120, 130)]
         assert all(a <= b + 1e-12 for a, b in zip(prices, prices[1:]))
 
-    def test_far_barrier_approaches_vanilla(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        quant = price_barrier(BS07, uoc(1e6), grid, mats).price
+    def test_far_barrier_approaches_vanilla(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        quant = price_barrier(BS07, uoc(1e6), grid).price
         vanilla = vanilla_price(100.0, 100.0, 1.0, 0.15, 0.07, PayoffType.CALL)
         assert abs(quant - vanilla) / vanilla < 0.01
 
-    def test_call_and_put_from_one_measure(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        pi = forward_induction(_kernels(BS07, uoc(115.0), grid, mats))
-        terminal = grid.grids[-1]
+    def test_call_and_put_from_one_measure(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        pi, terminal = _live_measure(BS07, uoc(115.0), grid)
         disc = np.exp(-0.15)
-        call = price_barrier(BS07, uoc(115.0), grid, mats).price
+        call = price_barrier(BS07, uoc(115.0), grid).price
         contract_put = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.PUT, 100.0, 115.0, 1.0)
-        put = price_barrier(BS07, contract_put, grid, mats).price
+        put = price_barrier(BS07, contract_put, grid).price
         assert call >= 0.0 and put >= 0.0
         # the survival measure does not depend on the payoff
         assert call == disc * float(pi @ np.maximum(terminal - 100.0, 0.0))
         assert put == disc * float(pi @ np.maximum(100.0 - terminal, 0.0))
 
-    def test_put_worthless_below_surviving_grid(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
+    def test_put_worthless_below_surviving_grid(self, quant_grid):
+        grid = quant_grid(BS07, 10)
         contract = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.PUT, 10.0, 130.0, 1.0)
-        assert price_barrier(BS07, contract, grid, mats).price == 0.0
+        assert price_barrier(BS07, contract, grid).price == 0.0
 
-    def test_down_and_out_matches_closed_form(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 20)
+    def test_down_and_out_matches_closed_form(self, quant_grid):
+        grid = quant_grid(BS07, 20)
         for L in (85.0, 90.0, 95.0):
-            quant = price_barrier(BS07, doc(L), grid, mats).price
+            quant = price_barrier(BS07, doc(L), grid).price
             closed = barrier_price(
                 100.0, 100.0, L, 1.0, 0.15, 0.07, BarrierType.DOWN_AND_OUT, PayoffType.CALL
             )
             assert quant == pytest.approx(closed, abs=0.05)
 
-    def test_up_and_out_put_matches_closed_form(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 20)
+    def test_up_and_out_put_matches_closed_form(self, quant_grid):
+        grid = quant_grid(BS07, 20)
         contract = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.PUT, 100.0, 115.0, 1.0)
         closed = barrier_price(
             100.0, 100.0, 115.0, 1.0, 0.15, 0.07, BarrierType.UP_AND_OUT, PayoffType.PUT
         )
-        assert price_barrier(BS07, contract, grid, mats).price == pytest.approx(closed, abs=0.02)
+        assert price_barrier(BS07, contract, grid).price == pytest.approx(closed, abs=0.02)
+
+
+# drifts far enough that every grid point passes 150 (up) or 70 (down) by mid-horizon
+RUNAWAY_UP = BlackScholes(r=2.0, sigma=0.05, x0=100.0)
+RUNAWAY_DOWN = BlackScholes(r=-2.0, sigma=0.05, x0=100.0)
+SIDES = [
+    (BarrierType.UP_AND_OUT, PayoffType.CALL),
+    (BarrierType.UP_AND_OUT, PayoffType.PUT),
+    (BarrierType.DOWN_AND_OUT, PayoffType.CALL),
+    (BarrierType.DOWN_AND_OUT, PayoffType.PUT),
+]
+
+
+@pytest.fixture(scope="module")
+def small_pipeline():
+    """(grid, full matrices) on the budget-200 quantizer at n=8, per model."""
+    quantizer = brownian_product_quantizer(200, 1.0)
+    cache = {}
+
+    def build(model):
+        if model not in cache:
+            grid = quantize_price_process(model, quantizer, 8)
+            cache[model] = (grid, transition_matrices(model, grid))
+        return cache[model]
+
+    return build
+
+
+def _barriers(grid, barrier_type):
+    """A barrier on a grid point of the live side, one at x0, and both far sides."""
+    mid = grid.grids[grid.n_steps // 2]
+    on_point = mid[2 * mid.size // 3] if barrier_type is BarrierType.UP_AND_OUT else mid[mid.size // 3]
+    return [float(on_point), 100.0, 1e6, 1e-6]
+
+
+@pytest.mark.parametrize("barrier_type,payoff_type", SIDES)
+@pytest.mark.parametrize("model", [BS07, PCEV07], ids=["bs-exact", "pcev-euler"])
+def test_live_block_matches_full_matrix_chain(small_pipeline, model, barrier_type, payoff_type):
+    grid, mats = small_pipeline(model)
+    for L in _barriers(grid, barrier_type):
+        contract = BarrierContract(barrier_type, payoff_type, 100.0, L, 1.0)
+        chain = _chain_price(model, contract, grid, mats)
+        live = price_barrier(model, contract, grid).price
+        if chain == 0.0:
+            assert live == 0.0, L
+        else:
+            assert live == pytest.approx(chain, rel=1e-12, abs=0.0), L
+
+
+@pytest.mark.parametrize("payoff_type", [PayoffType.CALL, PayoffType.PUT])
+@pytest.mark.parametrize(
+    "model,barrier_type,barrier",
+    [(RUNAWAY_UP, BarrierType.UP_AND_OUT, 150.0), (RUNAWAY_DOWN, BarrierType.DOWN_AND_OUT, 70.0)],
+    ids=["up", "down"],
+)
+def test_live_set_emptied_mid_horizon_prices_zero(small_pipeline, model, barrier_type, barrier, payoff_type):
+    grid, mats = small_pipeline(model)
+    contract = BarrierContract(barrier_type, payoff_type, 100.0, barrier, 1.0)
+    live = [_live_range(points, contract) for points in grid.grids]
+    assert live[1][0] < live[1][1] and live[4] == (0, 0)
+    assert _chain_price(model, contract, grid, mats) == 0.0
+    assert price_barrier(model, contract, grid).price == 0.0
+
+
+def test_step_one_evaluates_the_single_point_x0(monkeypatch):
+    """Date 0 is d_N copies of x0, so step 1 needs one source row, not d_N."""
+    rows = []
+    original = transitions.conditional_cdf_exact
+
+    def recorder(model, z, x, dt):
+        rows.append(np.shape(x)[0])
+        return original(model, z, x, dt)
+
+    monkeypatch.setattr(transitions, "conditional_cdf_exact", recorder)
+    price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
+    assert len(rows) == 5
+    assert rows[0] == 1
 
 
 class TestEndToEnd:
@@ -205,15 +323,13 @@ class TestEndToEnd:
 
 
 def test_price_barrier_memory_flat_in_steps():
-    """One kernel is alive at a time, so the pricing peak does not grow with n."""
-    quantizer = brownian_product_quantizer(200, 1.0)
+    """Transitions are built per step inside the pricing call, so its peak does not grow with n."""
+    brownian_product_quantizer(200, 1.0)  # warm the quantizer cache outside the measurement
     peaks = {}
     for n in (10, 30):
-        grid = quantize_price_process(BS07, quantizer, n)
-        mats = transition_matrices(BS07, grid)
         tracemalloc.start()
         try:
-            price_barrier(BS07, uoc(115.0), grid, mats)
+            price_barrier_quant(BS07, uoc(115.0), n, budget=200)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,6 +9,7 @@ from fqbarrier.transitions import (
     TransitionMatrix,
     cell_boundaries,
     dump_transitions,
+    transition_block,
     transition_matrix,
 )
 from tests.conftest import BS07, PCEV07
@@ -59,8 +60,8 @@ class TestTransitionMatrix:
             assert np.max(np.abs(tm.entries.sum(axis=1) - 1.0)) < 1e-10
             assert np.all(tm.entries >= 0.0)
 
-    def test_prenormalization_deficit_small_in_exact_mode(self, quant_pipeline):
-        grid, _ = quant_pipeline(BS07, 10)
+    def test_prenormalization_deficit_small_in_exact_mode(self, quant_grid):
+        grid = quant_grid(BS07, 10)
         dt = 0.1
         for k in (1, 5, 10):
             gp, gn = grid.grids[k - 1], grid.grids[k]
@@ -93,6 +94,28 @@ class TestTransitionMatrix:
             transition_matrix(BS07, [100.0], [90.0, 110.0], 0.0)
         with pytest.raises(ValueError):
             transition_matrix(BS07, [100.0], [110.0], 0.1, cdf_mode="magic")
+
+
+class TestTransitionBlock:
+    @pytest.mark.parametrize("model", [BS07, PCEV07], ids=["bs-exact", "pcev-euler"])
+    def test_block_is_exact_slice_of_full_matrix(self, quant_pipeline, model):
+        grid, mats = quant_pipeline(model, 10)
+        gp, gn = grid.grids[4], grid.grids[5]
+        d = gn.size
+        for lo, hi in ((0, d), (0, 1), (0, 400), (300, d), (d - 1, d), (200, 700), (0, 0), (d, d)):
+            block = transition_block(model, gp[10:20], gn, lo, hi, 0.1)
+            assert np.array_equal(block, mats[4].entries[10:20, lo:hi]), (lo, hi)
+
+    def test_single_source_point_is_one_row(self):
+        block = transition_block(BS07, [100.0], [90.0, 100.0, 110.0], 1, 3, 0.1)
+        full = transition_matrix(BS07, [100.0], [90.0, 100.0, 110.0], 0.1).entries
+        assert block.shape == (1, 2)
+        assert np.array_equal(block, full[:, 1:])
+
+    def test_rejects_bad_range(self):
+        for lo, hi in ((-1, 1), (2, 1), (0, 3)):
+            with pytest.raises(ValueError):
+                transition_block(BS07, [100.0], [90.0, 110.0], lo, hi, 0.1)
 
 
 def _marginals(mats, x0_cell=0):
