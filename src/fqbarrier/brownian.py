@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import gaussian
 from .gaussian import GaussianQuantizer, cached_normal_quantizer
 
 __all__ = [
@@ -76,33 +77,35 @@ class ProductDecomposition:
             raise ValueError("d_n must equal the factor product and fit the budget")
 
 
-def _distortion_at(levels: int) -> float:
-    return cached_normal_quantizer(levels).distortion
-
-
-def optimal_decomposition(budget: int, truncation: int = 20) -> ProductDecomposition:
+def optimal_decomposition(budget: int) -> ProductDecomposition:
     """Search the factor sizes minimizing the Brownian quantization error.
 
     Exhaustive depth-first search over nonincreasing factor sequences with
     product <= budget, each factor >= 2.  The eigenvalue tail beyond the
     decomposition length is exact (the eigenvalue series sums to T^2/2),
     so the objective carries no truncation bias.  Subtrees are pruned with
-    an admissible bound built from the best factor still feasible.
+    an admissible bound built from the best factor still feasible.  The
+    sequence length is at most floor(log2(budget)).
 
-    ``truncation`` caps the decomposition length and must be at least
-    floor(log2(budget)), the longest achievable sequence.
+    Distortions are memoized for this search only; the grids it solves are
+    not kept, so a cold search holds no more than one grid at a time.
     """
     if budget < 2:
         raise ValueError("budget must be >= 2")
     max_len = int(math.floor(math.log2(budget)))
-    if truncation < max_len:
-        raise ValueError(f"truncation {truncation} < achievable length {max_len}")
 
     lam = np.array([kl_eigenvalue(k, 1.0) for k in range(1, max_len + 1)])
     cumlam = np.concatenate(([0.0], np.cumsum(lam)))
 
     best_obj = math.inf
     best_factors: list[int] = []
+    distortions: dict[int, float] = {}
+
+    def distortion_at(levels: int) -> float:
+        if levels not in distortions:
+            # through the module attribute, so perfbench's tracer sees each solve
+            distortions[levels] = gaussian.optimal_normal_quantizer(levels).distortion
+        return distortions[levels]
 
     def extend(prefix: list[int], prod: int, partial: float) -> None:
         nonlocal best_obj, best_factors
@@ -119,9 +122,9 @@ def optimal_decomposition(budget: int, truncation: int = 20) -> ProductDecomposi
             reach = min(max_len, pos + 1 + int(math.log2(budget // (prod * f))))
             if partial - (cumlam[reach] - cumlam[pos]) >= best_obj:
                 break
-            obj = partial + lam[pos] * (_distortion_at(f) - 1.0)
+            obj = partial + lam[pos] * (distortion_at(f) - 1.0)
             # every deeper factor is <= f, so it contributes >= lam*(d(f)-1)
-            subtree_bound = obj + (cumlam[reach] - cumlam[pos + 1]) * (_distortion_at(f) - 1.0)
+            subtree_bound = obj + (cumlam[reach] - cumlam[pos + 1]) * (distortion_at(f) - 1.0)
             prefix.append(f)
             if obj < best_obj:
                 best_obj = obj
@@ -202,11 +205,11 @@ def build_product_quantizer(factors, horizon: float = 1.0, budget: int | None = 
     factors = tuple(int(f) for f in factors)
     d_n = math.prod(factors)
     lam = np.array([kl_eigenvalue(k, horizon) for k in range(1, len(factors) + 1)])
+    marginals = tuple(cached_normal_quantizer(f) for f in factors)
     residual = 0.5 + sum(
-        kl_eigenvalue(k + 1, 1.0) * (_distortion_at(f) - 1.0) for k, f in enumerate(factors)
+        kl_eigenvalue(k + 1, 1.0) * (q.distortion - 1.0) for k, q in enumerate(marginals)
     )
     deco = ProductDecomposition(budget if budget is not None else d_n, factors, d_n, residual)
-    marginals = tuple(cached_normal_quantizer(f) for f in factors)
 
     grids = [np.arange(f) for f in factors]
     mesh = np.meshgrid(*grids, indexing="ij")
@@ -225,9 +228,9 @@ def build_product_quantizer(factors, horizon: float = 1.0, budget: int | None = 
 
 
 @lru_cache(maxsize=8)
-def brownian_product_quantizer(budget: int, horizon: float = 1.0, truncation: int = 20) -> BrownianProductQuantizer:
+def brownian_product_quantizer(budget: int, horizon: float = 1.0) -> BrownianProductQuantizer:
     """Optimal product quantizer of Brownian motion for a path budget."""
-    deco = optimal_decomposition(budget, truncation)
+    deco = optimal_decomposition(budget)
     return build_product_quantizer(deco.factors, horizon, budget=budget)
 
 

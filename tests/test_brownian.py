@@ -5,13 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from fqbarrier.brownian import (
+    brownian_product_quantizer,
     build_product_quantizer,
     kl_eigenfunction,
     kl_eigenvalue,
     optimal_decomposition,
     save_paths,
 )
-from fqbarrier.gaussian import cached_normal_quantizer
+from fqbarrier.gaussian import cached_normal_quantizer, lloyd_step
 
 # frozen independent evaluations (50-digit arithmetic)
 PATH_VALUE_T1 = 0.7183484885006662
@@ -104,8 +105,29 @@ class TestDecompositionSearch:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             optimal_decomposition(1)
-        with pytest.raises(ValueError):
-            optimal_decomposition(1000, truncation=3)
+
+    @pytest.mark.parametrize(
+        "budget, factors",
+        [(4000, (23, 7, 4, 3, 2)), (8000, (23, 7, 4, 3, 2, 2))],
+    )
+    def test_large_budget_factors(self, budget, factors):
+        assert optimal_decomposition(budget).factors == factors
+
+    def test_budget_ten_thousand_decomposes(self):
+        q = brownian_product_quantizer(10_000)
+        deco = q.decomposition
+        assert q.n_paths == deco.d_n <= 10_000
+        budget_8000 = build_product_quantizer((23, 7, 4, 3, 2, 2)).decomposition
+        assert deco.residual_distortion < budget_8000.residual_distortion
+        for g in q.marginal_quantizers:
+            assert np.max(np.abs(g.points - lloyd_step(g.points))) < 1e-9
+
+    def test_cold_search_caches_only_chosen_factors(self):
+        brownian_product_quantizer.cache_clear()
+        cached_normal_quantizer.cache_clear()
+        q = brownian_product_quantizer(1000)
+        assert q.decomposition.factors == (23, 7, 3, 2)
+        assert cached_normal_quantizer.cache_info().currsize == 4
 
 
 class TestProductQuantizer:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fqbarrier import gaussian
 from fqbarrier.gaussian import (
     GaussianQuantizer,
     LloydConvergenceError,
@@ -18,6 +19,10 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # frozen from direct quadrature of min_i (z - x_i)^2 phi(z) dz
 DISTORTION_TWO_POINT = 0.3633802276324188
+
+
+def _residual(points):
+    return float(np.max(np.abs(points - lloyd_step(points))))
 
 
 class TestOptimalQuantizer:
@@ -55,10 +60,40 @@ class TestOptimalQuantizer:
         values = [optimal_normal_quantizer(n).distortion for n in range(1, 41)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        newton_step = gaussian._newton_step
+        # a step that reports the residual but never moves the grid
+        monkeypatch.setattr(gaussian, "_newton_step", lambda x: (x, newton_step(x)[1]))
         with pytest.raises(LloydConvergenceError) as err:
-            optimal_normal_quantizer(50, max_iter=2)
+            optimal_normal_quantizer(50)
         assert err.value.residual > 0.0
+
+    def test_stationarity_at_large_sizes(self):
+        # Phi(hi) - Phi(lo) cancels in the upper tail from about N=689 on
+        # (1069 is the first size where it stalls above the bound)
+        sizes = sorted({*range(600, 1300, 23), 689, 1000, 1069, 1250, 4000, 10000})
+        worst = {n: _residual(optimal_normal_quantizer(n).points) for n in sizes}
+        assert max(worst.values()) < 1e-9, max(worst.items(), key=lambda kv: kv[1])
+
+    @pytest.mark.parametrize("n", [1000, 1069])
+    def test_stationarity_in_40_digit_arithmetic(self, n):
+        import mpmath
+
+        q = optimal_normal_quantizer(n)
+        with mpmath.workdps(40):
+            x = [mpmath.mpf(float(v)) for v in q.points]
+            edges = [mpmath.ninf] + [(a + b) / 2 for a, b in zip(x, x[1:])] + [mpmath.inf]
+            pdf = [mpmath.npdf(e) if mpmath.isfinite(e) else mpmath.mpf(0) for e in edges]
+            cdf = [mpmath.ncdf(e) for e in edges]
+            residual = max(
+                abs(x[i] - (pdf[i] - pdf[i + 1]) / (cdf[i + 1] - cdf[i])) for i in range(n)
+            )
+        assert residual < 1e-9
+
+    def test_tail_weights_symmetric(self):
+        # the outer weights are about 1.2e-7, so a relative check only
+        w = optimal_normal_quantizer(1000).weights
+        assert abs(w[-1] - w[0]) <= 1e-13 * w[0]
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
