@@ -9,8 +9,9 @@ the classical closed form
     F_{x,y}(u) = 1 - (1 - exp(-2 n (x-u)(y-u) / (T sigma(x)^2))) 1{u <= min(x,y)}
 
 with n subintervals over a horizon T.  Both distributions invert in closed
-form, which is what the simulation path of the Monte Carlo pricer uses.
-All functions broadcast over x, y, u and over ``sigma_x``.
+form: ``bridge_extremum`` is that inverse, and the indicator estimator of
+the Monte Carlo pricer draws every interval's extremum through it.  All
+functions broadcast over x, y, u and over ``sigma_x``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ __all__ = [
     "BridgeParams",
     "bridge_max_cdf",
     "bridge_min_cdf",
-    "bridge_max_inverse",
-    "bridge_min_inverse",
+    "bridge_extremum",
 ]
 
 
@@ -89,39 +89,16 @@ def bridge_min_cdf(x, y, u, p: BridgeParams):
     return out
 
 
-def _check_probability(w):
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise ValueError("probability must lie strictly inside (0, 1)")
-    return w
+def bridge_extremum(x, y, log_v, p: BridgeParams, up: bool):
+    """Draw of the bridge maximum (``up``) or minimum given the endpoints x, y.
 
-
-def _sqrt_discriminant(x, y, log_term, p: BridgeParams):
-    sig2 = np.asarray(p.sigma_x, dtype=float) ** 2
-    disc = (x - y) ** 2 - 2.0 * p.horizon * sig2 * log_term / p.n_steps
-    # log_term <= 0 guarantees disc >= (x-y)^2; anything else is a bug
-    if np.any(disc < (x - y) ** 2 - 1e-12):
-        raise AssertionError("bridge inverse discriminant fell below (x-y)^2")
-    return np.sqrt(disc)
-
-
-def bridge_max_inverse(x, y, w, p: BridgeParams):
-    """Quantile of the bridge maximum: the z >= max(x,y) with G_{x,y}(z) = w."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = _check_probability(w)
-    if np.any(np.asarray(p.sigma_x) <= 0.0):
-        raise ValueError("bridge_max_inverse requires sigma_x > 0")
-    root = _sqrt_discriminant(x, y, np.log1p(-w), p)
-    return 0.5 * (x + y + root)
-
-
-def bridge_min_inverse(x, y, w, p: BridgeParams):
-    """Quantile of the bridge minimum: the z <= min(x,y) with F_{x,y}(z) = w."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = _check_probability(w)
-    if np.any(np.asarray(p.sigma_x) <= 0.0):
-        raise ValueError("bridge_min_inverse requires sigma_x > 0")
-    root = _sqrt_discriminant(x, y, np.log(w), p)
-    return 0.5 * (x + y - root)
+    ``log_v`` is the log of a uniform v in (0, 1].  The maximum is the
+    quantile of G_{x,y} at 1 - v and the minimum that of F_{x,y} at v, the
+    root of (z - x)(z - y) = -T sigma(x)^2 log(v) / (2 n) beyond the
+    endpoints; with ``p.sigma_x`` = 0 it is the endpoint extreme.  No input
+    is checked here: the Monte Carlo loop calls this once per step, with
+    uniforms already floored into (0, 1).
+    """
+    s = p.sigma_x
+    root = np.sqrt((x - y) ** 2 - 2.0 * p.horizon * s * s * log_v / p.n_steps)
+    return 0.5 * (x + y + root) if up else 0.5 * (x + y - root)

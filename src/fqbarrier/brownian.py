@@ -173,20 +173,6 @@ class BrownianProductQuantizer:
             raise ValueError(f"time must lie in [0, {self.horizon}]")
         return t
 
-    def path_value(self, m: int, t):
-        """Value of path m at time t (scalar or array)."""
-        t = self._check_time(t)
-        w = self._frequencies()
-        basis = math.sqrt(2.0 / self.horizon) * np.sin(np.multiply.outer(t, w))
-        return basis @ self.coefficients[m]
-
-    def path_derivative(self, m: int, t):
-        """Time derivative of path m at time t (scalar or array)."""
-        t = self._check_time(t)
-        w = self._frequencies()
-        basis = math.sqrt(2.0 / self.horizon) * w * np.cos(np.multiply.outer(t, w))
-        return basis @ self.coefficients[m]
-
     def all_path_values(self, t: float) -> np.ndarray:
         """Values of every path at a single time, shape (n_paths,)."""
         t = float(self._check_time(t))

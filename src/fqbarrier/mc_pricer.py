@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
-from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
+from .bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf
 from .contracts import BarrierContract, BarrierType, PricingResult
 from .models import Model
 
@@ -129,9 +129,9 @@ def _simulate_levels(
         for k in range(n):
             sig = np.asarray(model.diffusion(X))
             Xn = X + model.drift(X) * dt + sig * sq * Z[:, k]
+            # an Euler path can cross zero, making sig negative; the
+            # bridge law depends on sig only through sig^2
             if conditional:
-                # an Euler path can cross zero, making sig negative; the
-                # bridge law depends on sig only through sig^2
                 params = BridgeParams(n, T, np.abs(sig)[:, None])
                 x, y, u = X[:, None], Xn[:, None], levels[None, :]
                 if up:
@@ -139,12 +139,11 @@ def _simulate_levels(
                 else:
                     factors *= 1.0 - bridge_min_cdf(x, y, u, params)
             else:
-                # extremum draw by inverting the bridge law with uniform V
-                root = np.sqrt((X - Xn) ** 2 - 2.0 * T * sig * sig * np.log(V[:, k]) / n)
+                draw = bridge_extremum(X, Xn, np.log(V[:, k]), BridgeParams(n, T, np.abs(sig)), up)
                 if up:
-                    np.maximum(extreme, 0.5 * (X + Xn + root), out=extreme)
+                    np.maximum(extreme, draw, out=extreme)
                 else:
-                    np.minimum(extreme, 0.5 * (X + Xn - root), out=extreme)
+                    np.minimum(extreme, draw, out=extreme)
             X = Xn
         pay = disc * contract.payoff(X)
         if conditional:
@@ -186,6 +185,8 @@ def rbb_price_levels(
     result carries the shared wall-clock time of the run.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
+    if not np.all(np.isfinite(levels) & (levels > 0.0)):
+        raise ValueError("barrier levels must be finite and positive")
     start = time.perf_counter()
     sums, sumsq = _simulate_levels(model, contract, levels, cfg)
     return _results_from_sums(sums, sumsq, cfg.n_paths, time.perf_counter() - start)

@@ -29,7 +29,6 @@ __all__ = [
     "conditional_cdf_euler",
     "has_exact_transition_cdf",
     "model_from_dict",
-    "model_to_dict",
 ]
 
 
@@ -165,9 +164,3 @@ def model_from_dict(block: dict) -> Model:
             x0=float(block["x0"]),
         )
     raise ValueError(f"unknown model kind {kind!r} (expected 'bs' or 'pcev')")
-
-
-def model_to_dict(model: Model) -> dict:
-    if isinstance(model, BlackScholes):
-        return {"model": "bs", "r": model.r, "sigma": model.sigma, "x0": model.x0}
-    return {"model": "pcev", "r": model.r, "vartheta": model.vartheta, "delta": model.delta, "x0": model.x0}

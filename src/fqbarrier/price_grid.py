@@ -59,15 +59,6 @@ class QuantizedPriceGrid:
     def d_n(self) -> int:
         return self.grids.shape[1]
 
-    def grid_at(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.n_steps:
-            raise IndexError(f"step index {k} outside 0..{self.n_steps}")
-        return self.grids[k]
-
-    def path_values_at(self, k: int) -> np.ndarray:
-        """Values at date k ordered by driving-path index."""
-        return self.grids[k][self.permutations[k]]
-
 
 def quantize_price_process(
     model: Model,

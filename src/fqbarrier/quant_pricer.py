@@ -130,8 +130,9 @@ def price_barrier(
     """Price the contract on prebuilt grids.
 
     ``cdf_mode`` selects the one-step conditional law as in
-    ``transition_block``.  A contract whose live set is empty at some date
-    prices exactly 0.
+    ``transition_block``.  The grid must span the contract's maturity and
+    start at the model's x0.  A contract whose live set is empty at some
+    date prices exactly 0.
     """
     start = time.perf_counter()
     grids, n = grid.grids, grid.n_steps
@@ -140,6 +141,10 @@ def price_barrier(
         raise ValueError("need n_steps >= 1 and one nonempty grid per pricing date")
     if not grid.horizon > 0.0:
         raise ValueError("dt must be positive")
+    if grid.horizon != contract.maturity:
+        raise ValueError(f"grid horizon {grid.horizon} differs from the contract maturity {contract.maturity}")
+    if grids[0][0] != model.x0:
+        raise ValueError(f"grid starts at {grids[0][0]}, the model at x0={model.x0}")
     dt = grid.horizon / n
     live = [_live_cells(points, contract) for points in grids]
 

@@ -1,19 +1,20 @@
 """Transition matrices of the quantized price chain between consecutive grids.
 
-The chain state at date k is the Voronoi cell of the grid ``x^N(t_k)``:
-midpoint boundaries inside, 0 below the lowest point and +inf above the
-highest.  Row i of the step-k matrix is the one-step conditional law from
-the source point evaluated across the destination cells,
+The chain state at date k is the Voronoi cell of the grid ``x^N(t_k)``,
+with midpoint boundaries between neighbouring points.  Row i of the step-k
+matrix is the one-step conditional law from the source point evaluated
+across the destination cells,
 
     p_k[i, j] = F(b_{j+1}; x_i) - F(b_j; x_i),
 
 where F is either the exact conditional distribution (Black-Scholes
-lognormal) or its one-step Euler Gaussian proxy.  By convention the bottom
-cell absorbs all mass below its upper boundary and the top cell all mass
-above its lower one, so rows sum to one up to rounding (one ulp on the
-table grids); rows are not renormalized.  ``transition_block`` evaluates a
-contiguous range of destination cells, which is all the pricer needs on
-the live side of a barrier; ``transition_matrix`` is its full-range call.
+lognormal) or its one-step Euler Gaussian proxy.  The bottom cell absorbs
+all mass below its upper boundary (under the Euler proxy that includes the
+mass below 0) and the top cell all mass above its lower one, so rows sum
+to one up to rounding (one ulp on the table grids); rows are not
+renormalized.  ``transition_block`` evaluates a contiguous range of
+destination cells, which is all the pricer needs on the live side of a
+barrier; ``transition_matrix`` is its full-range call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .price_grid import QuantizedPriceGrid
 
 __all__ = [
     "TransitionMatrix",
-    "cell_boundaries",
     "conditional_cdf",
     "transition_block",
     "transition_matrix",
@@ -47,14 +47,6 @@ class TransitionMatrix:
     def __post_init__(self):
         if self.entries.ndim != 2:
             raise ValueError("entries must be a matrix")
-
-
-def cell_boundaries(grid) -> np.ndarray:
-    """Voronoi boundaries [0, midpoints..., +inf] of an ascending grid."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    return np.concatenate(([0.0], 0.5 * (g[:-1] + g[1:]), [np.inf]))
 
 
 def conditional_cdf(model: Model, cdf_mode: str | None = None):
@@ -99,8 +91,8 @@ def transition_block(
         raise ValueError(f"cell range [{lo}, {hi}) outside a grid of {gn.size} points")
     cdf = conditional_cdf(model, cdf_mode)
 
-    # boundary b_j of cell j is the midpoint of points j-1 and j; b_0 = 0
-    # and b_d = +inf, where the CDF is 0 and 1
+    # boundary b_j of cell j is the midpoint of points j-1 and j; the outer
+    # edges b_0 and b_d are -inf and +inf, where the CDF is 0 and 1
     a, b = max(lo, 1), min(hi, gn.size - 1)
     cum = np.empty((gp.size, hi - lo + 1))
     cum[:, a - lo : b - lo + 1] = cdf(model, 0.5 * (gn[a - 1 : b] + gn[a : b + 1])[None, :], gp[:, None], dt)

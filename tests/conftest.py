@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fqbarrier import (
-    BlackScholes,
-    PseudoCEV,
-    brownian_product_quantizer,
-    quantize_price_process,
-    transition_matrices,
-)
+from fqbarrier.brownian import brownian_product_quantizer
+from fqbarrier.models import BlackScholes, PseudoCEV
+from fqbarrier.price_grid import quantize_price_process
+from fqbarrier.transitions import transition_matrices
 
 # property tests draw the same examples on every run and never time out
 settings.register_profile("fqbarrier", derandomize=True, deadline=None, database=None)

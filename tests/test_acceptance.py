@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from fqbarrier.bridge import (
-    BridgeParams,
-    bridge_max_cdf,
-    bridge_max_inverse,
-    bridge_min_cdf,
-    bridge_min_inverse,
-)
+from fqbarrier.bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import optimal_decomposition
 from fqbarrier.closed_form import vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
@@ -144,7 +138,7 @@ def test_criterion_6_ode_matches_black_scholes_closed_form(bq966, quant_grid):
         for k in range(n_steps + 1):
             t = grid.dates[k]
             exact = 100.0 * np.exp((0.15 - 0.07**2 / 2) * t + 0.07 * bq966.all_path_values(t))
-            worst = max(worst, float(np.max(np.abs(grid.path_values_at(k) - exact) / exact)))
+            worst = max(worst, float(np.max(np.abs(grid.grids[k][grid.permutations[k]] - exact) / exact)))
     ok = worst < 1e-8
     _report(6, ok, f"max relative ODE error over all 966 paths = {worst:.2e} (tol 1e-8)")
     assert ok
@@ -175,15 +169,19 @@ def test_criterion_8_bridge_law_properties():
     for _ in range(200):
         x, y = rng.uniform(60.0, 140.0, size=2)
         w = rng.uniform(1e-6, 1 - 1e-6)
-        worst_rt = max(worst_rt, abs(bridge_max_cdf(x, y, bridge_max_inverse(x, y, w, params), params) - w))
-        worst_rt = max(worst_rt, abs(bridge_min_cdf(x, y, bridge_min_inverse(x, y, w, params), params) - w))
+        zmax = bridge_extremum(x, y, math.log1p(-w), params, up=True)
+        zmin = bridge_extremum(x, y, math.log(w), params, up=False)
+        worst_rt = max(worst_rt, abs(bridge_max_cdf(x, y, zmax, params) - w))
+        worst_rt = max(worst_rt, abs(bridge_min_cdf(x, y, zmin, params) - w))
     u = rng.uniform(1e-12, 1 - 1e-12, size=100_000)
     ks_max = kstest(
-        bridge_max_inverse(100.0, 102.0, u, params), lambda z: bridge_max_cdf(100.0, 102.0, z, params)
+        bridge_extremum(100.0, 102.0, np.log1p(-u), params, up=True),
+        lambda z: bridge_max_cdf(100.0, 102.0, z, params),
     ).statistic
     u = rng.uniform(1e-12, 1 - 1e-12, size=100_000)
     ks_min = kstest(
-        bridge_min_inverse(100.0, 97.0, u, params), lambda z: bridge_min_cdf(100.0, 97.0, z, params)
+        bridge_extremum(100.0, 97.0, np.log(u), params, up=False),
+        lambda z: bridge_min_cdf(100.0, 97.0, z, params),
     ).statistic
     ok = worst_rt < 1e-12 and ks_max < 0.01 and ks_min < 0.01
     _report(8, ok, f"roundtrip error {worst_rt:.1e}; KS max-law {ks_max:.4f}, min-law {ks_min:.4f}")

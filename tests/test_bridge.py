@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from fqbarrier.bridge import (
-    BridgeParams,
-    bridge_max_cdf,
-    bridge_max_inverse,
-    bridge_min_cdf,
-    bridge_min_inverse,
-)
+from fqbarrier.bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf
 
 P_BASE = BridgeParams(n_steps=10, horizon=1.0, sigma_x=7.0)
 
@@ -63,11 +57,13 @@ class TestMinCdf:
 
 
 class TestInverses:
+    """``bridge_extremum`` inverts the bridge laws: log(1 - w) for the maximum, log(w) for the minimum."""
+
     def test_max_roundtrip_random(self, rng):
         for _ in range(200):
             x, y = rng.uniform(50.0, 150.0, size=2)
             w = rng.uniform(1e-6, 1.0 - 1e-6)
-            z = bridge_max_inverse(x, y, w, P_BASE)
+            z = bridge_extremum(x, y, math.log1p(-w), P_BASE, up=True)
             assert z >= max(x, y)
             assert bridge_max_cdf(x, y, z, P_BASE) == pytest.approx(w, abs=1e-12)
 
@@ -75,7 +71,7 @@ class TestInverses:
         for _ in range(200):
             x, y = rng.uniform(50.0, 150.0, size=2)
             w = rng.uniform(1e-6, 1.0 - 1e-6)
-            z = bridge_min_inverse(x, y, w, P_BASE)
+            z = bridge_extremum(x, y, math.log(w), P_BASE, up=False)
             assert z <= min(x, y)
             assert bridge_min_cdf(x, y, z, P_BASE) == pytest.approx(w, abs=1e-12)
 
@@ -86,51 +82,52 @@ class TestInverses:
             x, y = rng.uniform(50.0, 150.0, size=2)
             w = rng.uniform(1e-6, 1.0 - 1e-6)
             p = BridgeParams(int(rng.integers(1, 40)), float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 20.0)))
-            assert bridge_max_cdf(x, y, bridge_max_inverse(x, y, w, p), p) == pytest.approx(w, abs=1e-9)
-            assert bridge_min_cdf(x, y, bridge_min_inverse(x, y, w, p), p) == pytest.approx(w, abs=1e-9)
+            zmax = bridge_extremum(x, y, math.log1p(-w), p, up=True)
+            zmin = bridge_extremum(x, y, math.log(w), p, up=False)
+            assert bridge_max_cdf(x, y, zmax, p) == pytest.approx(w, abs=1e-9)
+            assert bridge_min_cdf(x, y, zmin, p) == pytest.approx(w, abs=1e-9)
 
     def test_frozen_quantiles(self):
         w = -math.expm1(-500.0 / 49.0)
-        assert bridge_max_inverse(100.0, 100.0, w, P_BASE) == pytest.approx(105.0, abs=1e-9)
+        assert bridge_extremum(100.0, 100.0, math.log1p(-w), P_BASE, up=True) == pytest.approx(105.0, abs=1e-9)
         v = math.exp(-500.0 / 49.0)
-        assert bridge_min_inverse(100.0, 100.0, v, P_BASE) == pytest.approx(95.0, abs=1e-9)
+        assert bridge_extremum(100.0, 100.0, math.log(v), P_BASE, up=False) == pytest.approx(95.0, abs=1e-9)
 
     def test_small_probability_limit(self):
-        z = bridge_max_inverse(100.0, 104.0, 1e-15, P_BASE)
+        z = bridge_extremum(100.0, 104.0, math.log1p(-1e-15), P_BASE, up=True)
         assert z == pytest.approx(104.0, abs=1e-6)
 
     def test_reflection_identity(self, rng):
         for _ in range(50):
             x, y = rng.uniform(50.0, 150.0, size=2)
             w = rng.uniform(1e-6, 1.0 - 1e-6)
-            lhs = bridge_min_inverse(x, y, w, P_BASE)
-            rhs = -bridge_max_inverse(-x, -y, 1.0 - w, P_BASE)
+            lhs = bridge_extremum(x, y, math.log(w), P_BASE, up=False)
+            rhs = -bridge_extremum(-x, -y, math.log1p(-(1.0 - w)), P_BASE, up=True)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_rejects_boundary_probabilities(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                bridge_max_inverse(100.0, 101.0, bad, P_BASE)
-            with pytest.raises(ValueError):
-                bridge_min_inverse(100.0, 101.0, bad, P_BASE)
-
-    def test_rejects_zero_sigma(self):
-        p0 = BridgeParams(10, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            bridge_max_inverse(100.0, 101.0, 0.5, p0)
+    def test_zero_sigma_returns_endpoint_extreme(self):
+        # an Euler path whose diffusion vanishes has a flat bridge
+        p0 = BridgeParams(10, 1.0, np.zeros(3))
+        x = np.array([100.0, 104.0, 97.5])
+        y = np.array([104.0, 100.0, 97.5])
+        log_v = np.log([1e-16, 0.5, 1.0])
+        assert bridge_extremum(x, y, log_v, p0, up=True).tolist() == [104.0, 104.0, 97.5]
+        assert bridge_extremum(x, y, log_v, p0, up=False).tolist() == [100.0, 100.0, 97.5]
 
 
 class TestSimulationConsistency:
     def test_max_law_kolmogorov_smirnov(self):
         rng = np.random.default_rng(2025)
         x, y = 100.0, 102.0
-        draws = bridge_max_inverse(x, y, rng.uniform(1e-12, 1.0 - 1e-12, size=100_000), P_BASE)
+        w = rng.uniform(1e-12, 1.0 - 1e-12, size=100_000)
+        draws = bridge_extremum(x, y, np.log1p(-w), P_BASE, up=True)
         stat = kstest(draws, lambda u: bridge_max_cdf(x, y, u, P_BASE)).statistic
         assert stat < 0.01
 
     def test_min_law_kolmogorov_smirnov(self):
         rng = np.random.default_rng(2026)
         x, y = 100.0, 97.0
-        draws = bridge_min_inverse(x, y, rng.uniform(1e-12, 1.0 - 1e-12, size=100_000), P_BASE)
+        w = rng.uniform(1e-12, 1.0 - 1e-12, size=100_000)
+        draws = bridge_extremum(x, y, np.log(w), P_BASE, up=False)
         stat = kstest(draws, lambda u: bridge_min_cdf(x, y, u, P_BASE)).statistic
         assert stat < 0.01

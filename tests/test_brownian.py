@@ -96,7 +96,7 @@ class TestDecompositionSearch:
         brute_obj, brute_factors = min((_objective(c), c) for c in candidates)
         deco = optimal_decomposition(budget)
         assert list(deco.factors) == brute_factors
-        assert deco.residual_distortion == pytest.approx(brute_obj, rel=1e-12)
+        assert deco.residual_distortion == pytest.approx(brute_obj, rel=1e-12, abs=0)
 
     def test_residual_decreases_with_budget(self):
         objs = [optimal_decomposition(b).residual_distortion for b in (10, 100, 966)]
@@ -143,8 +143,8 @@ class TestProductQuantizer:
     def test_single_factor_path_value(self):
         q = build_product_quantizer([2], horizon=1.0)
         positive = int(np.argmax(q.coefficients[:, 0]))
-        assert q.path_value(positive, 1.0) == pytest.approx(PATH_VALUE_T1, abs=1e-12)
-        assert q.path_derivative(positive, 0.0) == pytest.approx(PATH_DERIV_T0, abs=1e-12)
+        assert q.all_path_values(1.0)[positive] == pytest.approx(PATH_VALUE_T1, abs=1e-12)
+        assert q.all_path_derivatives(0.0)[positive] == pytest.approx(PATH_DERIV_T0, abs=1e-12)
 
     def test_mirrored_paths_negate(self, bq966):
         factors = bq966.decomposition.factors
@@ -155,30 +155,30 @@ class TestProductQuantizer:
             matches = np.all(bq966.multi_indices == mirrored_idx, axis=1)
             mm = int(np.argmax(matches))
             assert matches[mm]
-            assert bq966.weights[mm] == pytest.approx(bq966.weights[m], rel=1e-13)
+            assert bq966.weights[mm] == pytest.approx(bq966.weights[m], rel=1e-13, abs=0)
             for t in ts:
-                assert bq966.path_value(mm, t) == pytest.approx(-bq966.path_value(m, t), abs=1e-12)
-                assert bq966.path_derivative(mm, t) == pytest.approx(
-                    -bq966.path_derivative(m, t), abs=1e-12
-                )
+                values, derivatives = bq966.all_path_values(t), bq966.all_path_derivatives(t)
+                assert values[mm] == pytest.approx(-values[m], abs=1e-12)
+                assert derivatives[mm] == pytest.approx(-derivatives[m], abs=1e-12)
 
     def test_derivative_matches_finite_differences(self, bq966):
         rng = np.random.default_rng(3)
         h = 1e-5
         for m in rng.integers(0, bq966.n_paths, size=4):
             for t in rng.uniform(2 * h, 1.0 - 2 * h, size=4):
-                fd = (bq966.path_value(m, t + h) - bq966.path_value(m, t - h)) / (2 * h)
-                assert fd == pytest.approx(bq966.path_derivative(m, t), abs=1e-6)
+                fd = (bq966.all_path_values(t + h)[m] - bq966.all_path_values(t - h)[m]) / (2 * h)
+                assert fd == pytest.approx(bq966.all_path_derivatives(t)[m], abs=1e-6)
 
     def test_all_path_values_consistent(self, bq966):
         t = 0.37
         vals = bq966.all_path_values(t)
         for m in (0, 123, 965):
-            assert vals[m] == pytest.approx(bq966.path_value(m, t), rel=1e-14)
+            expansion = sum(c * kl_eigenfunction(k, t, 1.0) for k, c in enumerate(bq966.coefficients[m], 1))
+            assert vals[m] == pytest.approx(expansion, rel=1e-14, abs=0)
 
     def test_time_domain_enforced(self, bq966):
         with pytest.raises(ValueError):
-            bq966.path_value(0, -0.1)
+            bq966.all_path_values(-0.1)
         with pytest.raises(ValueError):
             bq966.all_path_derivatives(1.5)
 
@@ -191,4 +191,4 @@ class TestProductQuantizer:
         assert len(lines) == 1 + q.n_paths
         first = lines[1].split()
         assert len(first) == 2 + 1 + 2  # two indices, weight, two coefficients
-        assert float(first[2]) == pytest.approx(q.weights[0], rel=1e-16)
+        assert float(first[2]) == pytest.approx(q.weights[0], rel=1e-16, abs=0)

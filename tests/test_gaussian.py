@@ -167,7 +167,7 @@ class TestCacheFile:
         assert loaded.n_levels == 7
         assert np.array_equal(loaded.points, q.points)
         assert np.array_equal(loaded.weights, q.weights)
-        assert loaded.distortion == pytest.approx(q.distortion, rel=1e-15)
+        assert loaded.distortion == pytest.approx(q.distortion, rel=1e-15, abs=0)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"

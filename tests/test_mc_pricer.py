@@ -123,6 +123,12 @@ class TestRbbPrice:
             res = rbb_price(BS07, docall(90.0), cfg)
             assert abs(res.price - closed) <= 3.0 * res.std_error + 0.02
 
+    def test_rejects_bad_levels(self):
+        cfg = McConfig(n_steps=10, n_paths=100, seed=1)
+        for levels in ([math.nan, -5.0], [110.0, math.inf], [0.0]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                rbb_price_levels(BS07, uoc(110.0), levels, cfg)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(n_steps=0, n_paths=10, seed=1)

@@ -50,7 +50,7 @@ class TestBlackScholesOracle:
         for k in range(6):
             t = g.dates[k]
             exact = 100.0 * np.exp((0.15 - 0.07**2 / 2) * t + 0.07 * q.all_path_values(t))
-            got = g.path_values_at(k)
+            got = g.grids[k][g.permutations[k]]
             assert np.max(np.abs(got - exact) / exact) < 1e-10
 
     def test_substep_halving_is_converged(self, bq966):
@@ -68,34 +68,28 @@ def grid(bq966):
 class TestGridStructure:
 
     def test_initial_grid_is_spot(self, grid):
-        assert np.all(grid.grid_at(0) == 100.0)
+        assert np.all(grid.grids[0] == 100.0)
 
     def test_grid_lengths(self, grid):
         for k in range(11):
-            assert grid.grid_at(k).shape == (966,)
+            assert grid.grids[k].shape == (966,)
 
     def test_sorted_positive(self, grid):
         for k in range(11):
-            g = grid.grid_at(k)
+            g = grid.grids[k]
             assert np.all(g > 0.0)
             assert np.all(np.diff(g) >= 0.0)
 
     def test_permutations_recover_path_order(self, grid, bq966):
         t = grid.dates[7]
         exact = 100.0 * np.exp((0.15 - 0.07**2 / 2) * t + 0.07 * bq966.all_path_values(t))
-        assert np.max(np.abs(grid.path_values_at(7) - exact) / exact) < 1e-8
+        assert np.max(np.abs(grid.grids[7][grid.permutations[7]] - exact) / exact) < 1e-8
 
     def test_weighted_mean_tracks_forward_price(self, grid):
         for k in (3, 7, 10):
-            mean = float(grid.path_weights @ grid.path_values_at(k))
+            mean = float(grid.path_weights @ grid.grids[k][grid.permutations[k]])
             forward = 100.0 * math.exp(0.15 * grid.dates[k])
             assert abs(mean - forward) / forward < 0.02
-
-    def test_index_bounds(self, grid):
-        with pytest.raises(IndexError):
-            grid.grid_at(11)
-        with pytest.raises(IndexError):
-            grid.grid_at(-1)
 
     def test_invalid_steps(self, bq966):
         with pytest.raises(ValueError):

@@ -166,6 +166,17 @@ class TestPriceBarrier:
         with pytest.raises(ValueError, match="one nonempty grid per pricing date"):
             price_barrier(BS07, dead, dataclasses.replace(grid, grids=grid.grids[:-1]))
 
+    def test_rejects_grid_of_another_maturity_or_spot(self, quant_grid):
+        # the grid spans T=1 from x0=100; a mismatch used to price silently
+        grid = quant_grid(BS07, 10)
+        long_dated = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.CALL, 100.0, 115.0, 5.0)
+        with pytest.raises(ValueError, match="differs from the contract maturity"):
+            price_barrier(BS07, long_dated, grid)
+        spot_90 = BlackScholes(r=0.15, sigma=0.07, x0=90.0)
+        for contract in (uoc(115.0), uoc(85.0)):  # the second is knocked out at x0
+            with pytest.raises(ValueError, match="grid starts at 100.0"):
+                price_barrier(spot_90, contract, grid)
+
     def test_survival_mass_monotone_in_step(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
         pi = np.zeros(966)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fqbarrier.models import conditional_cdf_exact
+from fqbarrier.models import BlackScholes, conditional_cdf_euler, conditional_cdf_exact
 from fqbarrier.quant_pricer import forward_induction
 from fqbarrier.transitions import (
     TransitionMatrix,
-    cell_boundaries,
     dump_transitions,
     transition_block,
     transition_matrix,
@@ -19,26 +18,49 @@ EXACT_ROW = [0.25252566906, 0.74747433094]
 EULER_ROW = [0.249002865868, 0.750997134132]
 
 
+# a volatile model whose one-step Euler law puts 7.5% of its mass below 0
+WILD = BlackScholes(r=0.15, sigma=0.8, x0=100.0)
+SOURCES = np.array([20.0, 100.0])
+
+
+def _euler_cdf(z):
+    """Euler CDF at the scalar ``z`` from each of SOURCES over one unit step."""
+    return conditional_cdf_euler(WILD, z, SOURCES, 1.0)
+
+
 class TestCellBoundaries:
+    """Cell edges as ``transition_block`` applies them: midpoints inside, the outer cells unbounded."""
+
     def test_single_point(self):
-        b = cell_boundaries([100.0])
-        assert b[0] == 0.0 and math.isinf(b[1])
+        block = transition_block(WILD, SOURCES, [100.0], 0, 1, 1.0, cdf_mode="euler")
+        assert block.tolist() == [[1.0], [1.0]]
 
     def test_two_points(self):
-        assert cell_boundaries([90.0, 110.0]).tolist()[:2] == [0.0, 100.0]
+        # the bottom cell takes the mass below 0 too: its edge is -inf, not 0
+        assert np.all(_euler_cdf(0.0) > 0.0)
+        block = transition_block(WILD, SOURCES, [90.0, 110.0], 0, 2, 1.0, cdf_mode="euler")
+        assert np.array_equal(block[:, 0], _euler_cdf(100.0))
+        assert np.array_equal(block[:, 1], 1.0 - _euler_cdf(100.0))
 
     def test_three_points(self):
-        b = cell_boundaries([80.0, 100.0, 120.0])
-        assert b.tolist()[:3] == [0.0, 90.0, 110.0]
-        assert math.isinf(b[3])
+        grid = [80.0, 100.0, 120.0]
+        block = transition_block(WILD, SOURCES, grid, 0, 3, 1.0, cdf_mode="euler")
+        assert np.array_equal(block[:, 0], _euler_cdf(90.0))
+        assert np.array_equal(block[:, 1], _euler_cdf(110.0) - _euler_cdf(90.0))
+        assert np.array_equal(block[:, 2], 1.0 - _euler_cdf(110.0))
+        for lo in range(3):
+            edge = transition_block(WILD, SOURCES, grid, lo, lo + 1, 1.0, cdf_mode="euler")
+            assert np.array_equal(edge[:, 0], block[:, lo])
 
     def test_ties_give_zero_width_cells(self):
-        b = cell_boundaries([100.0, 100.0, 100.0])
-        assert b.tolist()[:3] == [0.0, 100.0, 100.0]
+        block = transition_block(WILD, SOURCES, [100.0, 100.0, 100.0], 0, 3, 1.0, cdf_mode="euler")
+        assert np.array_equal(block[:, 0], _euler_cdf(100.0))
+        assert block[:, 1].tolist() == [0.0, 0.0]
+        assert np.array_equal(block[:, 2], 1.0 - _euler_cdf(100.0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            cell_boundaries([])
+            transition_block(WILD, SOURCES, [], 0, 0, 1.0, cdf_mode="euler")
 
 
 class TestTransitionMatrix:
