@@ -25,6 +25,7 @@ __all__ = [
     "bridge_max_cdf",
     "bridge_min_cdf",
     "bridge_extremum",
+    "no_crossing",
 ]
 
 
@@ -48,9 +49,17 @@ class BridgeParams:
             raise ValueError("sigma_x must be nonnegative")
 
 
-def _exponent(x, y, u, p: BridgeParams):
+def no_crossing(x, y, u, p: BridgeParams):
+    """1 - exp(min(e, 0)) with e = -2 n (x-u)(y-u) / (T sigma(x)^2).
+
+    This is the probability that the bridge from x to y stays on the side
+    of u where both of its ends lie; that they do is not checked.  It is the
+    one evaluation of the formula: both CDFs and the pricer's kernel call it.
+    """
     sig2 = np.asarray(p.sigma_x, dtype=float) ** 2
-    return -2.0 * p.n_steps * (x - u) * (y - u) / (p.horizon * sig2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ex = -2.0 * p.n_steps * (x - u) * (y - u) / (p.horizon * sig2)
+        return 1.0 - np.exp(np.minimum(ex, 0.0))
 
 
 def bridge_max_cdf(x, y, u, p: BridgeParams):
@@ -62,9 +71,7 @@ def bridge_max_cdf(x, y, u, p: BridgeParams):
     degenerate = np.asarray(p.sigma_x) == 0.0
     if np.all(degenerate):
         return (u >= top).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ex = _exponent(x, y, u, p)
-        body = 1.0 - np.exp(np.minimum(ex, 0.0))
+    body = no_crossing(x, y, u, p)
     out = np.where(u >= top, body, 0.0)
     if np.any(degenerate):
         out = np.where(degenerate, (u >= top).astype(float), out)
@@ -80,9 +87,7 @@ def bridge_min_cdf(x, y, u, p: BridgeParams):
     degenerate = np.asarray(p.sigma_x) == 0.0
     if np.all(degenerate):
         return (u >= bot).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ex = _exponent(x, y, u, p)
-        body = 1.0 - np.exp(np.minimum(ex, 0.0))
+    body = no_crossing(x, y, u, p)
     out = 1.0 - np.where(u <= bot, body, 0.0)
     if np.any(degenerate):
         out = np.where(degenerate, (u >= bot).astype(float), out)

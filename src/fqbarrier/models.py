@@ -109,11 +109,20 @@ def has_exact_transition_cdf(model: Model) -> bool:
     return isinstance(model, BlackScholes)
 
 
-def conditional_cdf_exact(model: BlackScholes, z, x, dt: float):
+def _into(out, value):
+    """``value``, written into ``out`` when one is given."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def conditional_cdf_exact(model: BlackScholes, z, x, dt: float, out=None):
     """P(X_{t+dt} <= z | X_t = x) under Black-Scholes (lognormal law).
 
-    Broadcasts over ``z`` and ``x``.  With sigma = 0 the law degenerates to
-    the point x * exp(r dt).
+    Broadcasts over ``z`` and ``x``; an ``out`` array of the broadcast shape
+    receives the result and every intermediate.  With sigma = 0 the law
+    degenerates to the point x * exp(r dt).
     """
     if not isinstance(model, BlackScholes):
         raise ValueError("exact conditional law is only available for Black-Scholes")
@@ -122,19 +131,23 @@ def conditional_cdf_exact(model: BlackScholes, z, x, dt: float):
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     if model.sigma == 0.0:
-        return (z >= x * math.exp(model.r * dt)).astype(float)
+        return _into(out, (z >= x * math.exp(model.r * dt)).astype(float))
     mu = (model.r - 0.5 * model.sigma**2) * dt
     s = model.sigma * math.sqrt(dt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (np.log(z) - np.log(x) - mu) / s
-    return np.where(z > 0.0, ndtr(arg), 0.0)
+        arg = np.divide(np.subtract(np.subtract(np.log(z), np.log(x), out=out), mu, out=out), s, out=out)
+    cdf = ndtr(arg, out=out)
+    if np.all(z > 0.0):
+        return cdf
+    return _into(out, np.where(z > 0.0, cdf, 0.0))
 
 
-def conditional_cdf_euler(model: Model, z, x, dt: float):
+def conditional_cdf_euler(model: Model, z, x, dt: float, out=None):
     """Gaussian proxy for P(X_{t+dt} <= z | X_t = x) from one Euler step.
 
     The conditional law is approximated by N(x + b(x) dt, (x sigma(x))^2 dt).
-    Broadcasts over ``z`` and ``x``.
+    Broadcasts over ``z`` and ``x``; an ``out`` array of the broadcast shape
+    receives the result and every intermediate.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -144,11 +157,11 @@ def conditional_cdf_euler(model: Model, z, x, dt: float):
     sd = model.diffusion(x) * math.sqrt(dt)
     degenerate = sd == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (z - mean) / sd
-    out = ndtr(arg)
+        arg = np.divide(np.subtract(z, mean, out=out), sd, out=out)
+    cdf = ndtr(arg, out=out)
     if np.any(degenerate):
-        out = np.where(degenerate, (z >= mean).astype(float), out)
-    return out
+        cdf = _into(out, np.where(degenerate, (z >= mean).astype(float), cdf))
+    return cdf
 
 
 def model_from_dict(block: dict) -> Model:

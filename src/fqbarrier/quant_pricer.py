@@ -15,8 +15,12 @@ the expected payoff under it prices the option.
 A survival factor is exactly 0 when either end of the interval lies
 beyond the barrier, so the kernel of step k is built only between the
 live points of date k-1 and the live cells of date k, from the single
-point x0 at step 1.  Each kernel is built as the induction reaches its
-step and dropped after it, so memory does not grow with the step count.
+point x0 at step 1.  Within that block the factor is exactly 1.0 wherever
+its exponent is at most -54 ln 2, and ``quantized_kernel`` evaluates it
+only on the band of columns nearer the barrier.  Each kernel is built as
+the induction reaches its step, in one CDF work array and one kernel array
+that the pricing call allocates once, so memory does not grow with the
+step count and the steps allocate no matrix-sized temporaries.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import time
 
 import numpy as np
 
-from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
+from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf, no_crossing
 from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult
 from .models import Model
@@ -42,28 +46,78 @@ __all__ = [
 ]
 
 
+# 1 - exp(e) rounds to exactly 1.0 once exp(e) <= 2**-54, that is for
+# e <= -54 ln 2 = -37.43; the band edge sits below that, so the rounding of
+# the approximate row slope below cannot move an entry across it
+_EXACT_ONE = -38.0
+_BAND_ROWS = 32  # source rows that share one band of columns
+
+
 def quantized_kernel(
     grid_prev,
     grid_next,
     p: np.ndarray,
     contract: BarrierContract,
     params: BridgeParams,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Entrywise product of the transition probabilities and the barrier survival factor.
 
     ``p[i, j]`` is the probability of moving from ``grid_prev[i]`` into the
-    cell of ``grid_next[j]``.  ``params.sigma_x`` must hold the diffusion at
-    the source grid points, column-shaped so it broadcasts down the rows.
+    cell of ``grid_next[j]``; both grids ascend.  ``params.sigma_x`` must
+    hold the diffusion at the source grid points, column-shaped so it
+    broadcasts down the rows.  The kernel is written into ``out``, which may
+    be ``p`` itself; by default it is a new array and ``p`` is left as is.
+
+    An entry with an end beyond the barrier is 0.  Between live points the
+    exponent e_ij = a_i (y_j - L) of the survival factor is rank one and
+    monotone along each row, and where e_ij <= -54 ln 2 the factor is
+    exactly 1.0, so each block of rows evaluates it only on the band of
+    columns nearer the barrier than that; the rest of the row keeps p.
     """
-    gp = np.asarray(grid_prev, dtype=float)[:, None]
-    gn = np.asarray(grid_next, dtype=float)[None, :]
+    gp = np.asarray(grid_prev, dtype=float)
+    gn = np.asarray(grid_next, dtype=float)
     if np.shape(p) != (gp.size, gn.size):
         raise ValueError("transition matrix shape does not match the grids")
-    if contract.barrier_type is BarrierType.UP_AND_OUT:
-        survival = bridge_max_cdf(gp, gn, contract.barrier, params)
-    else:
-        survival = 1.0 - bridge_min_cdf(gp, gn, contract.barrier, params)
-    return survival * p
+    if np.any(gp[1:] < gp[:-1]) or np.any(gn[1:] < gn[:-1]):
+        raise ValueError("grids must be ascending")
+    if out is None:
+        out = np.array(p, dtype=float)
+    elif out is not p:
+        out[...] = p
+    up = contract.barrier_type is BarrierType.UP_AND_OUT
+    L = contract.barrier
+    r0, r1 = _live_cells(gp, contract)
+    c0, c1 = _live_cells(gn, contract)
+    out[:r0] = out[r1:] = 0.0
+    out[:, :c0] = out[:, c1:] = 0.0
+    x, y = gp[r0:r1], gn[c0:c1]
+    sigma = np.broadcast_to(np.asarray(params.sigma_x, dtype=float), (gp.size, 1))[r0:r1, 0]
+    degenerate = sigma == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the factor of row i is exactly 1.0 where |y_j - L| >= reach_i
+        reach = -_EXACT_ONE / np.abs(2.0 * params.n_steps * (x - L) / (params.horizon * sigma**2))
+    reach[degenerate] = np.inf  # sigma = 0 rows keep the CDFs' degenerate values over the whole row
+    # the columns left of edge_i (up-and-out) or from edge_i on (down-and-out) keep p
+    edge = np.searchsorted(y - L, -reach, "right") if up else np.searchsorted(y - L, reach, "left")
+    for i in range(0, x.size, _BAND_ROWS):
+        rows = slice(i, i + _BAND_ROWS)
+        band = slice(int(edge[rows].min()), y.size) if up else slice(0, int(edge[rows].max()))
+        if band.start == band.stop:
+            continue
+        xs, ys, sub = x[rows, None], y[band], BridgeParams(params.n_steps, params.horizon, sigma[rows, None])
+        # bridge_max_cdf on live points, and 1 - bridge_min_cdf too: for
+        # b = fl(1 - exp(e)), 1 - (1 - b) == b by Sterbenz's lemma
+        survival = no_crossing(xs, ys, L, sub)
+        still = degenerate[rows]
+        if still.any():
+            zero = BridgeParams(params.n_steps, params.horizon, 0.0)
+            survival[still] = (
+                bridge_max_cdf(xs[still], ys, L, zero) if up else 1.0 - bridge_min_cdf(xs[still], ys, L, zero)
+            )
+        block = out[r0 + i : r0 + i + len(xs), c0 + band.start : c0 + band.stop]
+        np.multiply(block, survival, out=block)
+    return out
 
 
 def forward_induction(kernels) -> np.ndarray:
@@ -149,13 +203,19 @@ def price_barrier(
     live = [_live_cells(points, contract) for points in grids]
 
     def kernels():
+        # one CDF work array and one kernel array serve every step; each
+        # step's blocks are contiguous views at their start
+        d = grids.shape[1]
+        work, kernel = np.empty(d * (d + 1)), np.empty(d * d)
         src = grids[0][:1]  # date 0 is d_N copies of x0
         for k in range(1, n + 1):
             lo, hi = live[k]
             dst = grids[k][lo:hi]
-            p = transition_block(model, src, grids[k], lo, hi, dt, cdf_mode)
+            cum = work[: src.size * (hi - lo + 1)].reshape(src.size, hi - lo + 1)
+            p = kernel[: src.size * (hi - lo)].reshape(src.size, hi - lo)
+            transition_block(model, src, grids[k], lo, hi, dt, cdf_mode, out=p, work=cum)
             params = BridgeParams(n, grid.horizon, np.asarray(model.diffusion(src))[:, None])
-            yield quantized_kernel(src, dst, p, contract, params)
+            yield quantized_kernel(src, dst, p, contract, params, out=p)
             src = dst
 
     price = 0.0

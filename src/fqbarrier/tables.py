@@ -83,7 +83,7 @@ def run_table(
     reference_paths: int | None = None,
     reference_steps: int | None = None,
 ) -> list[TableRow]:
-    """Recompute one benchmark table; overrides shrink the Monte Carlo work."""
+    """Recompute one benchmark table; overrides left at None keep the table's Monte Carlo sizes."""
     if table_id not in TABLE_SPECS:
         raise ValueError(f"table_id must be one of {sorted(TABLE_SPECS)}")
     spec = TABLE_SPECS[table_id]
@@ -101,13 +101,13 @@ def run_table(
         ]
     else:
         ref_cfg = McConfig(
-            n_steps=reference_steps or spec.reference_steps,
-            n_paths=reference_paths or spec.reference_paths,
+            n_steps=spec.reference_steps if reference_steps is None else reference_steps,
+            n_paths=spec.reference_paths if reference_paths is None else reference_paths,
             seed=seed + REFERENCE_SEED_OFFSET,
         )
         reference = [r.price for r in rbb_price_levels(model, template, levels, ref_cfg)]
 
-    mc_cfg = McConfig(n_steps=spec.n_steps, n_paths=mc_paths or spec.mc_paths, seed=seed)
+    mc_cfg = McConfig(n_steps=spec.n_steps, n_paths=spec.mc_paths if mc_paths is None else mc_paths, seed=seed)
     mc = rbb_price_levels(model, template, levels, mc_cfg)
 
     quantizer = brownian_product_quantizer(budget, _MATURITY)

@@ -14,7 +14,8 @@ mass below 0) and the top cell all mass above its lower one, so rows sum
 to one up to rounding (one ulp on the table grids); rows are not
 renormalized.  ``transition_block`` evaluates a contiguous range of
 destination cells, which is all the pricer needs on the live side of a
-barrier; ``transition_matrix`` is its full-range call.
+barrier, into arrays the caller may supply so that the pricer reuses one
+pair across its steps; ``transition_matrix`` is its full-range call.
 """
 
 from __future__ import annotations
@@ -74,12 +75,16 @@ def transition_block(
     hi: int,
     dt: float,
     cdf_mode: str | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transition probabilities from every ``grid_prev`` point into cells ``lo..hi-1`` of ``grid_next``.
 
     ``cdf_mode`` selects the conditional distribution: "exact" (lognormal,
     Black-Scholes only), "euler" (one-step Gaussian proxy) or None (exact
-    whenever the model has it).
+    whenever the model has it).  The block is written into ``out``, of shape
+    (sources, hi - lo), and the CDF at the cell edges into ``work``, of
+    shape (sources, hi - lo + 1); either defaults to a new array.
     """
     gp = np.atleast_1d(np.asarray(grid_prev, dtype=float))
     gn = np.atleast_1d(np.asarray(grid_next, dtype=float))
@@ -94,13 +99,13 @@ def transition_block(
     # boundary b_j of cell j is the midpoint of points j-1 and j; the outer
     # edges b_0 and b_d are -inf and +inf, where the CDF is 0 and 1
     a, b = max(lo, 1), min(hi, gn.size - 1)
-    cum = np.empty((gp.size, hi - lo + 1))
-    cum[:, a - lo : b - lo + 1] = cdf(model, 0.5 * (gn[a - 1 : b] + gn[a : b + 1])[None, :], gp[:, None], dt)
+    cum = np.empty((gp.size, hi - lo + 1)) if work is None else work
+    cdf(model, 0.5 * (gn[a - 1 : b] + gn[a : b + 1])[None, :], gp[:, None], dt, out=cum[:, a - lo : b - lo + 1])
     if lo == 0:
         cum[:, 0] = 0.0
     if hi == gn.size:
         cum[:, -1] = 1.0
-    return np.diff(cum, axis=1)
+    return np.subtract(cum[:, 1:], cum[:, :-1], out=out)
 
 
 def transition_matrix(

@@ -183,3 +183,14 @@ class TestTableCommand:
     def test_invalid_table_id(self, capsys):
         with pytest.raises(SystemExit):
             main(["table", "--table", "9"])
+
+    def test_zero_path_overrides_are_rejected(self):
+        """An explicit 0 reaches McConfig and raises; it does not fall back to the full default."""
+        with pytest.raises(ValueError, match="n_paths"):
+            run_table(1, mc_paths=0)
+        with pytest.raises(ValueError, match="n_steps"):
+            run_table(4, mc_paths=1000, reference_paths=1000, reference_steps=0)
+
+    def test_zero_rbb_paths_exits_1(self, capsys):
+        assert main(["table", "--table", "1", "--rbb-paths", "0"]) == 1
+        assert "n_paths" in capsys.readouterr().err

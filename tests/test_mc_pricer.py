@@ -84,7 +84,7 @@ class TestRbbPrice:
     def test_std_error_consistent_with_variance(self):
         cfg = McConfig(n_steps=10, n_paths=50_000, seed=11)
         res = rbb_price(BS07, uoc(120.0), cfg)
-        assert res.std_error == pytest.approx(math.sqrt(res.sample_variance / 50_000), rel=1e-12)
+        assert res.std_error == pytest.approx(math.sqrt(res.sample_variance / 50_000), rel=1e-12, abs=0)
 
     def test_levels_share_paths_and_are_monotone(self):
         cfg = McConfig(n_steps=10, n_paths=50_000, seed=13)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fqbarrier.transitions as transitions
-from fqbarrier.bridge import BridgeParams
+from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
@@ -95,6 +95,54 @@ class TestQuantizedKernel:
         with pytest.raises(ValueError):
             quantized_kernel([100.0], [100.0], np.eye(3), uoc(105.0), _params(BS07, [100.0], 10))
 
+    def test_unsorted_grid_rejected(self):
+        with pytest.raises(ValueError, match="ascending"):
+            quantized_kernel([100.0], [101.0, 99.0], np.ones((1, 2)), uoc(105.0), _params(BS07, [100.0], 10))
+
+    @pytest.mark.parametrize("barrier_type", [BarrierType.UP_AND_OUT, BarrierType.DOWN_AND_OUT], ids=["up", "down"])
+    @pytest.mark.parametrize("case", ["straddle", "source_on_barrier", "zero_sigma"])
+    def test_band_matches_the_bridge_cdfs_bit_for_bit(self, barrier_type, case):
+        """The banded survival equals p times the full bridge CDF on hand-built blocks.
+
+        With n = T = 1 and a source one unit inside the barrier at sigma = 1
+        the exponent is e = -2 |y - L|, so the columns put e on both sides of
+        -54 ln 2 = -37.43, exactly on the band edge -38 and at 0 (y == L).
+        """
+        L, side = 100.0, (-1.0 if barrier_type is BarrierType.UP_AND_OUT else 1.0)
+        e = np.array([-40.0, -38.0, -37.9, -37.5, -37.44, -37.42, -37.0, -36.5, -36.0, -20.0, -1.0, -0.3, -0.01, 0.0])
+        # one column beyond the barrier: an entry with a dead end is 0
+        offsets = np.append(-e / 2.0, -1.0)
+        rows = {  # (distance inside the barrier, sigma); a negative distance is a dead row
+            # rows of one slope share their band, so the flat columns are skipped
+            "straddle": [(1.0, 1.0), (4.0, 2.0), (0.25, 0.5), (-1.0, 1.0)],
+            "source_on_barrier": [(1.0, 1.0), (0.0, 1.0), (3.0, 1.0)],
+            "zero_sigma": [(1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.0)],
+        }[case]
+        y = np.sort(L + side * offsets)
+        order = np.argsort([L + side * d for d, _ in rows])
+        x = np.array([L + side * rows[i][0] for i in order])
+        sigma = np.array([rows[i][1] for i in order])[:, None]
+        p = np.random.default_rng(7).uniform(0.01, 1.0, size=(x.size, y.size))
+        params = BridgeParams(1, 1.0, sigma)
+        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, L, 1.0)
+        if barrier_type is BarrierType.UP_AND_OUT:
+            expected = p * bridge_max_cdf(x[:, None], y[None, :], L, params)
+        else:
+            expected = p * (1 - bridge_min_cdf(x[:, None], y[None, :], L, params))
+        H = quantized_kernel(x, y, p, contract, params)
+        assert np.array_equal(H, expected)
+        # the case exercises a skipped entry and one just inside -37.43 that is not p
+        assert np.any((H == p) & (expected == p)) and np.any((H != p) & (H != 0.0))
+
+    def test_leaves_p_unchanged(self, quant_pipeline):
+        grid, mats = quant_pipeline(BS07, 10)
+        for contract in (uoc(115.0), doc(95.0)):
+            for k in (0, 5):
+                p = mats[k].entries
+                before = p.copy()
+                H = quantized_kernel(grid.grids[k], grid.grids[k + 1], p, contract, _params(BS07, grid.grids[k], 10))
+                assert np.array_equal(p, before) and H is not p
+
 
 class TestForwardInduction:
     def test_reduces_to_chain_marginal_without_barrier(self, quant_pipeline):
@@ -147,6 +195,17 @@ class TestPruning:
 
 
 class TestPriceBarrier:
+    def test_interleaved_calls_share_no_state(self, quant_grid):
+        """Each call owns its step buffers: UOC, DOP, UOC again on one grid give the same bits."""
+        grid = quant_grid(BS07, 10)
+        dop = BarrierContract(BarrierType.DOWN_AND_OUT, PayoffType.PUT, 100.0, 90.0, 1.0)
+        first = price_barrier(BS07, uoc(115.0), grid).price
+        put = price_barrier(BS07, dop, grid).price
+        again = price_barrier(BS07, uoc(115.0), grid).price
+        assert first.hex() == again.hex()
+        assert put.hex() == price_barrier(BS07, dop, grid).price.hex()
+        assert first > 0.0 and put > 0.0
+
     def test_knocked_out_from_start_prices_zero(self, quant_grid):
         grid = quant_grid(BS07, 10)
         assert price_barrier(BS07, uoc(95.0), grid).price == 0.0
@@ -311,9 +370,9 @@ def test_step_one_evaluates_the_single_point_x0(monkeypatch):
     rows = []
     original = transitions.conditional_cdf_exact
 
-    def recorder(model, z, x, dt):
+    def recorder(model, z, x, dt, out=None):
         rows.append(np.shape(x)[0])
-        return original(model, z, x, dt)
+        return original(model, z, x, dt, out=out)
 
     monkeypatch.setattr(transitions, "conditional_cdf_exact", recorder)
     price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
