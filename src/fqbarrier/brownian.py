@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,15 +80,27 @@ class ProductDecomposition:
 def optimal_decomposition(budget: int) -> ProductDecomposition:
     """Search the factor sizes minimizing the Brownian quantization error.
 
-    Exhaustive depth-first search over nonincreasing factor sequences with
-    product <= budget, each factor >= 2.  The eigenvalue tail beyond the
-    decomposition length is exact (the eigenvalue series sums to T^2/2),
-    so the objective carries no truncation bias.  Subtrees are pruned with
-    an admissible bound built from the best factor still feasible.  The
-    sequence length is at most floor(log2(budget)).
+    Depth-first branch and bound over nonincreasing factor sequences with
+    product <= budget, each factor >= 2; it returns the same optimum as
+    exhaustive enumeration.  The eigenvalue tail beyond the decomposition
+    length is exact (the eigenvalue series sums to T^2/2), so the
+    objective carries no truncation bias.  The sequence length is at most
+    floor(log2(budget)).
 
-    Distortions are memoized for this search only; the grids it solves are
-    not kept, so a cold search holds no more than one grid at a time.
+    Two admissible bounds prune the search.  A cheap one credits every
+    slot the sequence can still reach with its full eigenvalue (d >= 0).
+    An exact one applies once a factor f exceeds m = budget // (prod * f),
+    the largest product left for the deeper factors: every completion then
+    costs at least ``partial - lambda_pos + T(pos + 1, m)``, where T is the
+    best tail objective over sequences with product <= m.  T needs d(N)
+    only for N <= m, so a cold search solves grids up to about
+    sqrt(budget) (100 at budget 10^4) instead of budget / 8.  Zador's
+    asymptotic d(N) ~ (sqrt(3) pi / 2) / N^2 is not used: it is not a
+    lower bound at finite N.
+
+    Distortions and tail objectives are memoized for this search only; the
+    grids it solves are not kept, so a cold search holds no more than one
+    grid at a time.
     """
     if budget < 2:
         raise ValueError("budget must be >= 2")
@@ -100,12 +112,28 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
     best_obj = math.inf
     best_factors: list[int] = []
     distortions: dict[int, float] = {}
+    tails: dict[tuple[int, int, int], float] = {}
 
     def distortion_at(levels: int) -> float:
         if levels not in distortions:
             # through the module attribute, so perfbench's tracer sees each solve
             distortions[levels] = gaussian.optimal_normal_quantizer(levels).distortion
         return distortions[levels]
+
+    def tail(pos: int, room: int, cap: int) -> float:
+        """Best sum of lam_k (d(N_k) - 1) over nonincreasing tails from pos.
+
+        The tail's factors are at most cap and their product at most room;
+        the empty tail gives 0.
+        """
+        key = (pos, room, cap)
+        if key not in tails:
+            best = 0.0
+            if pos < max_len:
+                for g in range(2, min(cap, room) + 1):
+                    best = min(best, lam[pos] * (distortion_at(g) - 1.0) + tail(pos + 1, room // g, g))
+            tails[key] = best
+        return tails[key]
 
     def extend(prefix: list[int], prod: int, partial: float) -> None:
         nonlocal best_obj, best_factors
@@ -114,13 +142,19 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
         f_max = min(cap, budget // prod)
         if f_max < 2 or pos >= max_len:
             return
-        # cheap admissible bound first: a factor f at this position caps
-        # the sequence length at pos + 1 + log2 of the leftover budget, and
-        # each factor slot can claim at most its full eigenvalue (d >= 0);
-        # the bound tightens as f grows, so one failure ends the loop
+        # both bounds tighten as f grows, so the first one that fails
+        # ends the loop
         for f in range(2, f_max + 1):
-            reach = min(max_len, pos + 1 + int(math.log2(budget // (prod * f))))
+            room = budget // (prod * f)
+            # cheap bound: a factor f at this position caps the sequence
+            # length at pos + 1 + log2(room), and each factor slot can
+            # claim at most its full eigenvalue (d >= 0)
+            reach = min(max_len, pos + 1 + int(math.log2(room)))
             if partial - (cumlam[reach] - cumlam[pos]) >= best_obj:
+                break
+            # exact tail bound: past f > room the cap f no longer binds the
+            # deeper factors, and d(f) >= 0 covers this slot
+            if f > room and partial - lam[pos] + tail(pos + 1, room, room) >= best_obj:
                 break
             obj = partial + lam[pos] * (distortion_at(f) - 1.0)
             # every deeper factor is <= f, so it contributes >= lam*(d(f)-1)
@@ -138,30 +172,60 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
     return ProductDecomposition(budget, factors, math.prod(factors), best_obj)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class BrownianProductQuantizer:
     """Weighted family of quantizer paths for Brownian motion on [0, T].
 
     Path m corresponds to one combination of marginal grid points; its
     coefficient vector is ``c_k = sqrt(lambda_k) * x_{i_k}`` and its weight
-    is the product of the marginal cell weights.  Immutable and safe to
-    share across threads.
+    is the product of the marginal cell weights.
+
+    The quantizer stores only its factors and marginal grids.  The
+    d_N-sized path arrays ``multi_indices``, ``weights`` and
+    ``coefficients`` are built on first read and kept, read-only, so a
+    quantizer whose paths nobody reads costs a few kilobytes.  Immutable
+    and safe to share across threads; a path array that two threads read
+    first at once may be built twice, with equal results.
     """
 
     horizon: float
     decomposition: ProductDecomposition
     marginal_quantizers: tuple[GaussianQuantizer, ...]
-    multi_indices: np.ndarray  # (n_paths, L) zero-based
-    weights: np.ndarray  # (n_paths,)
-    coefficients: np.ndarray  # (n_paths, L)
 
     @property
     def n_paths(self) -> int:
-        return self.coefficients.shape[0]
+        return self.decomposition.d_n
 
     @property
     def n_terms(self) -> int:
-        return self.coefficients.shape[1]
+        return len(self.decomposition.factors)
+
+    @cached_property
+    def multi_indices(self) -> np.ndarray:
+        """Zero-based grid index of every path, shape (n_paths, n_terms)."""
+        mesh = np.meshgrid(*[np.arange(f) for f in self.decomposition.factors], indexing="ij")
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Probability of every path, shape (n_paths,)."""
+        weights = np.ones(1)
+        for q in self.marginal_quantizers:
+            weights = np.multiply.outer(weights, q.weights).ravel()
+        return _read_only(weights)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Expansion coefficients of every path, shape (n_paths, n_terms)."""
+        lam = np.array([kl_eigenvalue(k, self.horizon) for k in range(1, self.n_terms + 1)])
+        multi = self.multi_indices
+        points = np.stack([q.points[multi[:, k]] for k, q in enumerate(self.marginal_quantizers)], axis=1)
+        return _read_only(np.sqrt(lam)[None, :] * points)
 
     def _frequencies(self) -> np.ndarray:
         k = np.arange(1, self.n_terms + 1)
@@ -187,30 +251,21 @@ class BrownianProductQuantizer:
 
 
 def build_product_quantizer(factors, horizon: float = 1.0, budget: int | None = None) -> BrownianProductQuantizer:
-    """Assemble the path family for explicitly given factor sizes."""
+    """Assemble the path family for explicitly given factor sizes.
+
+    Only the factors and their marginal grids are computed here; the path
+    arrays wait for their first read.
+    """
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
     factors = tuple(int(f) for f in factors)
     d_n = math.prod(factors)
-    lam = np.array([kl_eigenvalue(k, horizon) for k in range(1, len(factors) + 1)])
     marginals = tuple(cached_normal_quantizer(f) for f in factors)
     residual = 0.5 + sum(
         kl_eigenvalue(k + 1, 1.0) * (q.distortion - 1.0) for k, q in enumerate(marginals)
     )
     deco = ProductDecomposition(budget if budget is not None else d_n, factors, d_n, residual)
-
-    grids = [np.arange(f) for f in factors]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    multi = np.stack([m.ravel() for m in mesh], axis=1)
-
-    weights = np.ones(1)
-    for q in marginals:
-        weights = np.multiply.outer(weights, q.weights).ravel()
-
-    points = np.stack([marginals[k].points[multi[:, k]] for k in range(len(factors))], axis=1)
-    coeff = np.sqrt(lam)[None, :] * points
-
-    for arr in (multi, weights, coeff):
-        arr.setflags(write=False)
-    return BrownianProductQuantizer(float(horizon), deco, marginals, multi, weights, coeff)
+    return BrownianProductQuantizer(float(horizon), deco, marginals)
 
 
 @lru_cache(maxsize=8)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 
@@ -51,6 +52,20 @@ def _contract_from_dict(block: dict) -> BarrierContract:
     )
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    """An integer entry of a config's params; an integral float such as 20.0 counts.
+
+    A fractional, boolean, non-finite or non-numeric value raises instead
+    of being truncated.
+    """
+    value = params.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"params.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def run_config(config: dict) -> PricingResult:
     """Dispatch a config document to the selected pricing method."""
     model = model_from_dict(config["model"])
@@ -59,11 +74,11 @@ def run_config(config: dict) -> PricingResult:
     params = config.get("params", {})
 
     if method == "quant":
+        budget = _int_param(params, "budget", 1000)
+        steps, substeps = _int_param(params, "steps", 20), _int_param(params, "substeps", 4)
         start = time.perf_counter()
-        quantizer = brownian_product_quantizer(int(params.get("budget", 1000)), contract.maturity)
-        grid = quantize_price_process(
-            model, quantizer, int(params.get("steps", 20)), int(params.get("substeps", 4))
-        )
+        quantizer = brownian_product_quantizer(budget, contract.maturity)
+        grid = quantize_price_process(model, quantizer, steps, substeps)
         cdf_mode = params.get("cdf_mode")
         if params.get("dump_grids"):
             dump_grids(grid, params["dump_grids"])
@@ -74,9 +89,9 @@ def run_config(config: dict) -> PricingResult:
         return result
     if method == "rbb":
         cfg = McConfig(
-            n_steps=int(params.get("steps", 20)),
-            n_paths=int(params.get("paths", 1_000_000)),
-            seed=int(params.get("seed", DEFAULT_SEED)),
+            n_steps=_int_param(params, "steps", 20),
+            n_paths=_int_param(params, "paths", 1_000_000),
+            seed=_int_param(params, "seed", DEFAULT_SEED),
             estimator=Estimator(params.get("estimator", "indicator")),
         )
         return rbb_price(model, contract, cfg)

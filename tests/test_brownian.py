@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fqbarrier import gaussian
 from fqbarrier.brownian import (
     brownian_product_quantizer,
     build_product_quantizer,
@@ -81,6 +84,21 @@ def _objective(factors):
     return obj
 
 
+@lru_cache(maxsize=None)
+def _best_tail(pos, room, cap):
+    """Unpruned dynamic program: the best (objective, factors) tail from pos.
+
+    Minimizes sum lam_k (d(N_k) - 1) over nonincreasing factors <= cap with
+    product <= room; it solves d(N) for every N it may use.
+    """
+    best = (0.0, ())
+    for g in range(2, min(cap, room) + 1):
+        obj, rest = _best_tail(pos + 1, room // g, g)
+        obj += kl_eigenvalue(pos + 1, 1.0) * (cached_normal_quantizer(g).distortion - 1.0)
+        best = min(best, (obj, (g,) + rest))
+    return best
+
+
 class TestDecompositionSearch:
     def test_budget_two(self):
         assert optimal_decomposition(2).factors == (2,)
@@ -97,6 +115,26 @@ class TestDecompositionSearch:
         deco = optimal_decomposition(budget)
         assert list(deco.factors) == brute_factors
         assert deco.residual_distortion == pytest.approx(brute_obj, rel=1e-12, abs=0)
+
+    def test_matches_unpruned_dynamic_program(self):
+        for budget in range(2, 301):
+            tail_obj, factors = _best_tail(0, budget, budget)
+            deco = optimal_decomposition(budget)
+            assert deco.factors == factors, budget
+            assert deco.residual_distortion == pytest.approx(0.5 + tail_obj, rel=1e-12, abs=0)
+
+    def test_cold_search_solves_few_small_grids(self, monkeypatch):
+        solved = []
+        solve = gaussian.optimal_normal_quantizer
+
+        def counting(levels):
+            solved.append(levels)
+            return solve(levels)
+
+        monkeypatch.setattr(gaussian, "optimal_normal_quantizer", counting)
+        assert optimal_decomposition(10_000).factors == (26, 8, 4, 3, 2, 2)
+        assert len(solved) < 150
+        assert max(solved) <= 200
 
     def test_residual_decreases_with_budget(self):
         objs = [optimal_decomposition(b).residual_distortion for b in (10, 100, 966)]
@@ -131,6 +169,47 @@ class TestDecompositionSearch:
 
 
 class TestProductQuantizer:
+    def test_path_arrays_wait_for_first_read(self):
+        brownian_product_quantizer.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = []
+            for _ in range(20):
+                brownian_product_quantizer.cache_clear()
+                cached_normal_quantizer.cache_clear()
+                kept.append(brownian_product_quantizer(10_000))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+        q = kept[-1]
+        assert q.n_paths == 9984 and q.n_terms == 6
+
+        # the eager construction the path arrays replace
+        factors, marginals = q.decomposition.factors, q.marginal_quantizers
+        mesh = np.meshgrid(*[np.arange(f) for f in factors], indexing="ij")
+        multi = np.stack([m.ravel() for m in mesh], axis=1)
+        weights = np.ones(1)
+        for g in marginals:
+            weights = np.multiply.outer(weights, g.weights).ravel()
+        lam = np.array([kl_eigenvalue(k, 1.0) for k in range(1, len(factors) + 1)])
+        points = np.stack([marginals[k].points[multi[:, k]] for k in range(len(factors))], axis=1)
+        coeff = np.sqrt(lam)[None, :] * points
+        for name, eager in (("coefficients", coeff), ("weights", weights), ("multi_indices", multi)):
+            lazy = getattr(q, name)
+            assert np.array_equal(lazy, eager)
+            assert lazy.dtype == eager.dtype
+            assert not lazy.flags.writeable
+            assert getattr(q, name) is lazy
+            with pytest.raises(ValueError):
+                lazy[0] = 0
+
+    def test_nonpositive_horizon_rejected(self):
+        for horizon in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                build_product_quantizer([3, 2], horizon=horizon)
+
     def test_path_count_and_weights(self, bq966):
         assert bq966.n_paths == 966
         assert bq966.decomposition.factors == (23, 7, 3, 2)

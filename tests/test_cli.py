@@ -133,6 +133,30 @@ class TestPriceCommands:
         mc = run_config({**cfg, "method": "rbb", "params": {"steps": 10, "paths": 50000, "seed": 9}})
         assert abs(quant.price - mc.price) < 0.5
 
+    @pytest.mark.parametrize(
+        "method, key, value",
+        [("quant", "steps", 2.9), ("quant", "budget", 12.7), ("quant", "substeps", 1.5),
+         ("rbb", "paths", 1000.5), ("rbb", "seed", "9"), ("rbb", "steps", True)],
+    )
+    def test_run_config_rejects_non_integer_params(self, bs_config, method, key, value):
+        _, cfg = bs_config
+        with pytest.raises(ValueError, match=f"params.{key} must be an integer"):
+            run_config({**cfg, "method": method, "params": {key: value}})
+
+    def test_run_config_accepts_integral_floats(self, bs_config):
+        _, cfg = bs_config
+        as_float = run_config({**cfg, "method": "quant", "params": {"steps": 2.0, "budget": 12.0}})
+        as_int = run_config({**cfg, "method": "quant", "params": {"steps": 2, "budget": 12}})
+        assert as_float.price == as_int.price
+
+    def test_fractional_config_value_fails(self, bs_config, tmp_path, capsys):
+        _, cfg = bs_config
+        cfg["params"] = {"steps": 2.9, "budget": 12.7}
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["price-quant", "--config", str(path)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_unknown_method(self, bs_config):
         _, cfg = bs_config
         with pytest.raises(ValueError):
