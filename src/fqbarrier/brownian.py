@@ -227,27 +227,32 @@ class BrownianProductQuantizer:
         points = np.stack([q.points[multi[:, k]] for k, q in enumerate(self.marginal_quantizers)], axis=1)
         return _read_only(np.sqrt(lam)[None, :] * points)
 
+    @cached_property
     def _frequencies(self) -> np.ndarray:
+        """pi (k - 1/2) / T for k = 1..L, the eigenfunctions' angular frequencies."""
         k = np.arange(1, self.n_terms + 1)
         return math.pi * (k - 0.5) / self.horizon
 
-    def _check_time(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.horizon):
-            raise ValueError(f"time must lie in [0, {self.horizon}]")
+    @cached_property
+    def _derivative_scale(self) -> np.ndarray:
+        """sqrt(2/T) w_k, the amplitude of the eigenfunctions' derivatives."""
+        return math.sqrt(2.0 / self.horizon) * self._frequencies
+
+    def _check_time(self, t: float) -> float:
+        t = float(t)
+        if not 0.0 <= t <= self.horizon:  # NaN fails here too
+            raise ValueError(f"time must lie in [0, {self.horizon}], got {t}")
         return t
 
     def all_path_values(self, t: float) -> np.ndarray:
         """Values of every path at a single time, shape (n_paths,)."""
-        t = float(self._check_time(t))
-        w = self._frequencies()
-        return self.coefficients @ (math.sqrt(2.0 / self.horizon) * np.sin(w * t))
+        t = self._check_time(t)
+        return self.coefficients @ (math.sqrt(2.0 / self.horizon) * np.sin(self._frequencies * t))
 
     def all_path_derivatives(self, t: float) -> np.ndarray:
         """Derivatives of every path at a single time, shape (n_paths,)."""
-        t = float(self._check_time(t))
-        w = self._frequencies()
-        return self.coefficients @ (math.sqrt(2.0 / self.horizon) * w * np.cos(w * t))
+        t = self._check_time(t)
+        return self.coefficients @ (self._derivative_scale * np.cos(self._frequencies * t))
 
 
 def build_product_quantizer(factors, horizon: float = 1.0, budget: int | None = None) -> BrownianProductQuantizer:

@@ -27,6 +27,8 @@ __all__ = [
     "Model",
     "conditional_cdf_exact",
     "conditional_cdf_euler",
+    "conditional_quantile_exact",
+    "conditional_quantile_euler",
     "has_exact_transition_cdf",
     "model_from_dict",
 ]
@@ -117,6 +119,22 @@ def _into(out, value):
     return out
 
 
+def _lognormal_params(model: BlackScholes, dt: float) -> tuple[float, float]:
+    """Mean and standard deviation of log(X_{t+dt} / X_t) under Black-Scholes."""
+    if not isinstance(model, BlackScholes):
+        raise ValueError("exact conditional law is only available for Black-Scholes")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    return (model.r - 0.5 * model.sigma**2) * dt, model.sigma * math.sqrt(dt)
+
+
+def _euler_params(model: Model, x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of one Euler step from ``x``."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    return x + model.drift(x) * dt, model.diffusion(x) * math.sqrt(dt)
+
+
 def conditional_cdf_exact(model: BlackScholes, z, x, dt: float, out=None):
     """P(X_{t+dt} <= z | X_t = x) under Black-Scholes (lognormal law).
 
@@ -124,16 +142,11 @@ def conditional_cdf_exact(model: BlackScholes, z, x, dt: float, out=None):
     receives the result and every intermediate.  With sigma = 0 the law
     degenerates to the point x * exp(r dt).
     """
-    if not isinstance(model, BlackScholes):
-        raise ValueError("exact conditional law is only available for Black-Scholes")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    mu, s = _lognormal_params(model, dt)
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     if model.sigma == 0.0:
         return _into(out, (z >= x * math.exp(model.r * dt)).astype(float))
-    mu = (model.r - 0.5 * model.sigma**2) * dt
-    s = model.sigma * math.sqrt(dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.divide(np.subtract(np.subtract(np.log(z), np.log(x), out=out), mu, out=out), s, out=out)
     cdf = ndtr(arg, out=out)
@@ -149,12 +162,8 @@ def conditional_cdf_euler(model: Model, z, x, dt: float, out=None):
     Broadcasts over ``z`` and ``x``; an ``out`` array of the broadcast shape
     receives the result and every intermediate.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mean = x + model.drift(x) * dt
-    sd = model.diffusion(x) * math.sqrt(dt)
+    mean, sd = _euler_params(model, np.asarray(x, dtype=float), dt)
     degenerate = sd == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.divide(np.subtract(z, mean, out=out), sd, out=out)
@@ -162,6 +171,29 @@ def conditional_cdf_euler(model: Model, z, x, dt: float, out=None):
     if np.any(degenerate):
         cdf = _into(out, np.where(degenerate, (z >= mean).astype(float), cdf))
     return cdf
+
+
+def conditional_quantile_exact(model: BlackScholes, score, x, dt: float) -> np.ndarray:
+    """The z where ``conditional_cdf_exact`` takes ndtr at ``score``: x exp(mu + score s).
+
+    Broadcasts over ``score`` and ``x``.  With sigma = 0 it is the point
+    x * exp(r dt) of the degenerate law, for every score.
+    """
+    mu, s = _lognormal_params(model, dt)
+    x = np.asarray(x, dtype=float)
+    if model.sigma == 0.0:
+        return np.broadcast_to(x * math.exp(model.r * dt), np.broadcast_shapes(np.shape(score), x.shape))
+    return x * np.exp(mu + np.asarray(score, dtype=float) * s)
+
+
+def conditional_quantile_euler(model: Model, score, x, dt: float) -> np.ndarray:
+    """The z where ``conditional_cdf_euler`` takes ndtr at ``score``: mean + score sd.
+
+    Broadcasts over ``score`` and ``x``; where sd = 0 it is the mean, the
+    point of the degenerate law.
+    """
+    mean, sd = _euler_params(model, np.asarray(x, dtype=float), dt)
+    return mean + np.asarray(score, dtype=float) * sd
 
 
 def model_from_dict(block: dict) -> Model:

@@ -13,9 +13,11 @@ all mass below its upper boundary (under the Euler proxy that includes the
 mass below 0) and the top cell all mass above its lower one, so rows sum
 to one up to rounding (one ulp on the table grids); rows are not
 renormalized.  ``transition_block`` evaluates a contiguous range of
-destination cells, which is all the pricer needs on the live side of a
-barrier, into arrays the caller may supply so that the pricer reuses one
-pair across its steps; ``transition_matrix`` is its full-range call.
+destination cells into arrays the caller may supply, so that the pricer
+reuses one pair across its row blocks; ``transition_matrix`` is its
+full-range call.  ``mass_cells`` gives, for each source point, the range
+of cells outside which its law has no mass in double precision: none at
+all above it, and at most ndtr(-9) = 1.1e-19 below.
 """
 
 from __future__ import annotations
@@ -25,17 +27,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Model, conditional_cdf_euler, conditional_cdf_exact, has_exact_transition_cdf
+from .models import (
+    Model,
+    conditional_cdf_euler,
+    conditional_cdf_exact,
+    conditional_quantile_euler,
+    conditional_quantile_exact,
+    has_exact_transition_cdf,
+)
 from .price_grid import QuantizedPriceGrid
 
 __all__ = [
     "TransitionMatrix",
     "conditional_cdf",
+    "mass_cells",
     "transition_block",
     "transition_matrix",
     "transition_matrices",
     "dump_transitions",
 ]
+
+
+# scipy's ndtr rounds to exactly 1.0 from 8.2924 up; the upper cut keeps a
+# margin above that for the rounding of the quantile and of the CDF argument.
+# Below the lower cut the CDF is at most ndtr(-9) = 1.1e-19.
+_UPPER_CUT = 8.5
+_LOWER_CUT = -9.0
 
 
 @dataclass(frozen=True)
@@ -65,6 +82,27 @@ def conditional_cdf(model: Model, cdf_mode: str | None = None):
     if cdf_mode == "euler":
         return conditional_cdf_euler
     raise ValueError(f"unknown cdf_mode {cdf_mode!r}")
+
+
+def mass_cells(model: Model, grid_prev, grid_next, dt: float, cdf_mode: str | None = None) -> np.ndarray:
+    """Cells ``lo_i..hi_i-1`` of ``grid_next`` that hold the conditional law from each ``grid_prev`` point.
+
+    Returns the integer array ``[lo, hi]`` of shape (2, sources).  The CDF
+    is exactly 1.0 at every edge from ``hi_i`` on, so those cells have
+    probability 0 bit for bit; the cells below ``lo_i`` hold at most
+    ndtr(-9) = 1.1e-19 together.  A degenerate law (zero spread) gets the
+    one cell that holds its point.  This assumes a spread well above the
+    rounding of the grid values; ``price_barrier`` checks the upper edge.
+    """
+    exact = conditional_cdf(model, cdf_mode) is conditional_cdf_exact
+    quantile = conditional_quantile_exact if exact else conditional_quantile_euler
+    gp = np.atleast_1d(np.asarray(grid_prev, dtype=float))
+    gn = np.atleast_1d(np.asarray(grid_next, dtype=float))
+    cuts = quantile(model, np.array([[_LOWER_CUT], [_UPPER_CUT]]), gp[None, :], dt)
+    # the cell of z is the number of interior edges below it
+    cells = np.searchsorted(0.5 * (gn[:-1] + gn[1:]), cuts)
+    cells[1] += 1
+    return cells
 
 
 def transition_block(

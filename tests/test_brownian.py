@@ -261,6 +261,20 @@ class TestProductQuantizer:
         with pytest.raises(ValueError):
             bq966.all_path_derivatives(1.5)
 
+    @pytest.mark.parametrize("method", ["all_path_values", "all_path_derivatives"])
+    def test_nan_time_rejected(self, method):
+        q = brownian_product_quantizer(60, 1.0)
+        with pytest.raises(ValueError):
+            getattr(q, method)(math.nan)
+
+    def test_path_arrays_match_the_eigenexpansion_bit_for_bit(self, bq966):
+        w = math.pi * (np.arange(1, bq966.n_terms + 1) - 0.5)
+        for t in (0.0, 0.37, 1.0):
+            values = bq966.coefficients @ (math.sqrt(2.0) * np.sin(w * t))
+            derivatives = bq966.coefficients @ (math.sqrt(2.0) * w * np.cos(w * t))
+            assert np.array_equal(bq966.all_path_values(t), values)
+            assert np.array_equal(bq966.all_path_derivatives(t), derivatives)
+
     def test_save_paths_format(self, tmp_path):
         q = build_product_quantizer([3, 2], horizon=1.0)
         out = tmp_path / "paths.txt"

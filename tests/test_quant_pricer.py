@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -13,13 +14,15 @@ from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.models import BlackScholes
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import (
+    _BAND_ROWS,
+    _survival_measure,
     forward_induction,
     price_barrier,
     price_barrier_quant,
     prune_knocked_rows,
     quantized_kernel,
 )
-from fqbarrier.transitions import transition_block, transition_matrices, transition_matrix
+from fqbarrier.transitions import transition_matrices, transition_matrix
 from tests.conftest import BS07, PCEV07
 
 
@@ -37,17 +40,26 @@ def _params(model, grid_prev, n_steps, horizon=1.0):
 
 
 def _kernels(model, contract, grid, mats):
-    """Full d_N x d_N kernels H_1 ... H_n of the chain."""
+    """Full d_N x d_N kernels H_1 ... H_n of the chain, one per matrix that ``mats`` yields."""
     g = grid.grids
-    return [
-        quantized_kernel(g[k], g[k + 1], tm.entries, contract, _params(model, g[k], grid.n_steps))
-        for k, tm in enumerate(mats)
-    ]
+    for k, tm in enumerate(mats):
+        yield quantized_kernel(g[k], g[k + 1], tm.entries, contract, _params(model, g[k], grid.n_steps))
 
 
-def _chain_price(model, contract, grid, mats):
-    """Discounted payoff under e0 H_1 ... H_n over every cell of every date."""
-    pi = forward_induction(_kernels(model, contract, grid, mats))
+def _chain_measure(model, contract, grid, mats=None, cdf_mode=None):
+    """e0 H_1 ... H_n over every cell of every date.
+
+    Without ``mats`` each full matrix is built as the induction reaches it.
+    """
+    if mats is None:
+        g, n = grid.grids, grid.n_steps
+        mats = (transition_matrix(model, g[k - 1], g[k], grid.horizon / n, cdf_mode) for k in range(1, n + 1))
+    return forward_induction(_kernels(model, contract, grid, mats))
+
+
+def _chain_price(model, contract, grid, mats=None, cdf_mode=None):
+    """Discounted payoff under e0 H_1 ... H_n."""
+    pi = _chain_measure(model, contract, grid, mats, cdf_mode)
     return np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(grid.grids[-1]))
 
 
@@ -56,19 +68,6 @@ def _live_range(points, contract):
     up = contract.barrier_type is BarrierType.UP_AND_OUT
     idx = np.flatnonzero(points <= contract.barrier if up else points >= contract.barrier)
     return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
-
-
-def _live_measure(model, contract, grid):
-    """Survival measure on the live terminal cells, built block by block from x0."""
-    g, n = grid.grids, grid.n_steps
-    src = g[0][:1]
-    blocks = []
-    for k in range(1, n + 1):
-        lo, hi = _live_range(g[k], contract)
-        p = transition_block(model, src, g[k], lo, hi, grid.horizon / n)
-        blocks.append(quantized_kernel(src, g[k][lo:hi], p, contract, _params(model, src, n)))
-        src = g[k][lo:hi]
-    return forward_induction(blocks), src
 
 
 class TestQuantizedKernel:
@@ -178,7 +177,7 @@ class TestPruning:
     def test_bit_identical_prices(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
         contract = uoc(115.0)
-        kernels = _kernels(BS07, contract, grid, mats)
+        kernels = list(_kernels(BS07, contract, grid, mats))
         pruned = prune_knocked_rows(kernels, grid.grids, contract)
         for a, b in zip(kernels, pruned):
             assert np.array_equal(a, b)
@@ -270,7 +269,7 @@ class TestPriceBarrier:
 
     def test_call_and_put_from_one_measure(self, quant_grid):
         grid = quant_grid(BS07, 10)
-        pi, terminal = _live_measure(BS07, uoc(115.0), grid)
+        pi, terminal = _survival_measure(BS07, uoc(115.0), grid, None)
         disc = np.exp(-0.15)
         call = price_barrier(BS07, uoc(115.0), grid).price
         contract_put = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.PUT, 100.0, 115.0, 1.0)
@@ -365,19 +364,85 @@ def test_live_set_emptied_mid_horizon_prices_zero(small_pipeline, model, barrier
     assert price_barrier(model, contract, grid).price == 0.0
 
 
+BS_FROZEN = BlackScholes(r=0.15, sigma=0.0, x0=100.0)  # the path 100 e^(0.15 t) reaches 116.2
+
+
+@functools.lru_cache(maxsize=None)
+def _n80_grid(model):
+    return quantize_price_process(model, brownian_product_quantizer(300, 1.0), 80)
+
+
+@pytest.mark.parametrize(
+    "model,cdf_mode,barrier_type,barrier",
+    [
+        (PCEV07, "euler", BarrierType.UP_AND_OUT, 115.0),
+        (PCEV07, "euler", BarrierType.DOWN_AND_OUT, 90.0),
+        (BS07, "exact", BarrierType.UP_AND_OUT, 115.0),
+        (BS07, "exact", BarrierType.DOWN_AND_OUT, 90.0),
+        (BS07, "euler", BarrierType.UP_AND_OUT, 110.0),
+        (BS07, "euler", BarrierType.DOWN_AND_OUT, 95.0),
+        (BS_FROZEN, "exact", BarrierType.UP_AND_OUT, 120.0),
+        (BS_FROZEN, "exact", BarrierType.UP_AND_OUT, 110.0),
+        (BS_FROZEN, "euler", BarrierType.DOWN_AND_OUT, 99.0),
+    ],
+    ids=["pcev-up", "pcev-down", "bs-up", "bs-down", "bs-euler-up", "bs-euler-down",
+         "frozen-up", "frozen-knocked", "frozen-euler-down"],
+)
+def test_banded_prices_match_full_matrix_chain_at_n80(model, cdf_mode, barrier_type, barrier):
+    """At n=80 a row's law spans about 57% of the cells on average, and 36% at the last dates.
+
+    The share hardly depends on the budget (0.58 at budget 300, 0.56 at
+    1000), so the small grid keeps the full-matrix chain cheap.
+    """
+    grid = _n80_grid(model)
+    call = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
+    pi = _chain_measure(model, call, grid, cdf_mode=cdf_mode)  # the measure does not depend on the payoff
+    for contract in (call, dataclasses.replace(call, payoff_type=PayoffType.PUT)):
+        chain = np.exp(-model.r) * float(pi @ contract.payoff(grid.grids[-1]))
+        banded = price_barrier(model, contract, grid, cdf_mode).price
+        if chain == 0.0:
+            assert banded == 0.0
+        else:
+            assert banded == pytest.approx(chain, rel=1e-13, abs=0.0)
+        if model is BS_FROZEN and barrier_type is BarrierType.UP_AND_OUT and barrier < 100.0 * math.exp(0.15):
+            assert chain == 0.0  # the frozen path crosses the barrier
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-30, 1e-16, 1e-14])
+@pytest.mark.parametrize("cdf_mode", ["exact", "euler"])
+def test_vanishing_spread_keeps_the_mass_above_the_cut(sigma, cdf_mode):
+    """A spread below the rounding of the grid values defeats the upper cut's margin; the band widens instead."""
+    model = BlackScholes(r=0.15, sigma=sigma, x0=100.0)
+    grid = quantize_price_process(model, brownian_product_quantizer(200, 1.0), 10)
+    for barrier_type, barrier in ((BarrierType.UP_AND_OUT, 120.0), (BarrierType.DOWN_AND_OUT, 90.0)):
+        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
+        chain = _chain_price(model, contract, grid, cdf_mode=cdf_mode)
+        assert chain > 10.0
+        assert price_barrier(model, contract, grid, cdf_mode).price == pytest.approx(chain, rel=1e-13, abs=0.0)
+
+
 def test_step_one_evaluates_the_single_point_x0(monkeypatch):
-    """Date 0 is d_N copies of x0, so step 1 needs one source row, not d_N."""
-    rows = []
+    """Date 0 is d_N copies of x0, so step 1 needs one source row, not d_N.
+
+    Each later step evaluates its live source points once, in blocks of at
+    most ``_BAND_ROWS`` rows.
+    """
+    sources = []
     original = transitions.conditional_cdf_exact
 
     def recorder(model, z, x, dt, out=None):
-        rows.append(np.shape(x)[0])
+        sources.append(np.ravel(x).copy())
         return original(model, z, x, dt, out=out)
 
     monkeypatch.setattr(transitions, "conditional_cdf_exact", recorder)
-    price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
-    assert len(rows) == 5
-    assert rows[0] == 1
+    contract = uoc(115.0)
+    price_barrier_quant(BS07, contract, 5, budget=200)
+    grid = quantize_price_process(BS07, brownian_product_quantizer(200, 1.0), 5)
+    assert sources[0].tolist() == [BS07.x0]
+    expected = [grid.grids[k][slice(*_live_range(grid.grids[k], contract))] for k in range(1, 5)]
+    later = sources[1:]
+    assert all(0 < x.size <= _BAND_ROWS for x in later)
+    assert np.array_equal(np.concatenate(later), np.concatenate(expected))
 
 
 class TestEndToEnd:
@@ -404,3 +469,32 @@ def test_price_barrier_memory_flat_in_steps():
         finally:
             tracemalloc.stop()
     assert peaks[30] <= 1.5 * peaks[10]
+
+
+def test_price_barrier_work_memory_is_a_few_row_blocks(quant_grid):
+    """With the grid prebuilt, a call holds O(_BAND_ROWS d_N) work memory: no d_N x d_N array."""
+    grid = quant_grid(BS07, 20)
+    d = grid.grids.shape[1]
+    price_barrier(BS07, uoc(115.0), grid)
+    tracemalloc.start()
+    try:
+        price_barrier(BS07, uoc(115.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d > 900 and peak < 2 * 2**20
+
+
+def test_price_barrier_allocates_no_square_array_at_budget_4000():
+    quantizer = brownian_product_quantizer(4000, 1.0)
+    d = quantizer.n_paths
+    for model, contract in ((BS07, uoc(115.0)), (PCEV07, doc(90.0))):
+        grid = quantize_price_process(model, quantizer, 2)
+        tracemalloc.start()
+        try:
+            price_barrier(model, contract, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one d_N x d_N float array alone would take 8 d_N^2 bytes (119 MB here)
+        assert d > 3800 and peak < 8 * d * d / 16

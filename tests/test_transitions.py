@@ -5,9 +5,14 @@ import pytest
 
 from fqbarrier.models import BlackScholes, conditional_cdf_euler, conditional_cdf_exact
 from fqbarrier.quant_pricer import forward_induction
+from scipy.special import ndtr
+
 from fqbarrier.transitions import (
+    _LOWER_CUT,
+    _UPPER_CUT,
     TransitionMatrix,
     dump_transitions,
+    mass_cells,
     transition_block,
     transition_matrix,
 )
@@ -138,6 +143,44 @@ class TestTransitionBlock:
         for lo, hi in ((-1, 1), (2, 1), (0, 3)):
             with pytest.raises(ValueError):
                 transition_block(BS07, [100.0], [90.0, 110.0], lo, hi, 0.1)
+
+
+class TestMassCells:
+    def test_ndtr_is_exactly_one_from_the_upper_cut_on(self):
+        z = np.concatenate([np.linspace(_UPPER_CUT, 40.0, 200001), [np.inf]])
+        assert np.all(ndtr(z) == 1.0)
+        # the cut keeps a margin above the last argument that rounds below 1.0
+        assert ndtr(8.29) < 1.0 and ndtr(_UPPER_CUT - 0.2) == 1.0
+        assert 0.0 < ndtr(_LOWER_CUT) < 1.2e-19
+
+    @pytest.mark.parametrize(
+        "model,cdf_mode",
+        [(BS07, "exact"), (BS07, "euler"), (PCEV07, "euler"), (BlackScholes(0.15, 0.0, 100.0), "exact")],
+        ids=["bs-exact", "bs-euler", "pcev-euler", "bs-sigma0"],
+    )
+    @pytest.mark.parametrize("n_steps", [10, 80])
+    def test_cells_outside_hold_no_mass(self, quant_grid, model, cdf_mode, n_steps):
+        """Beyond hi_i every probability is 0 bit for bit; below lo_i they sum to at most ndtr(-9)."""
+        grid = quant_grid(model, n_steps)
+        dt = 1.0 / n_steps
+        for k in (1, n_steps // 2, n_steps):
+            gp, gn = grid.grids[k - 1], grid.grids[k]
+            p = transition_matrix(model, gp, gn, dt, cdf_mode).entries
+            lo, hi = mass_cells(model, gp, gn, dt, cdf_mode)
+            cols = np.arange(gn.size)
+            assert np.all(p[cols >= hi[:, None]] == 0.0)
+            assert np.all(np.where(cols < lo[:, None], p, 0.0).sum(axis=1) <= 1.2e-19)
+            assert np.all(lo < hi)
+            if getattr(model, "sigma", None) == 0.0:
+                assert np.all(hi - lo == 1)
+
+    def test_degenerate_law_takes_the_cell_of_its_point(self):
+        frozen = BlackScholes(0.0, 0.0, 100.0)
+        points = [90.0, 100.0, 110.0]  # x0 lies on no edge; 95 and 105 are edges
+        for x, cell in ((94.0, 0), (95.0, 0), (95.5, 1), (105.0, 1), (106.0, 2)):
+            lo, hi = mass_cells(frozen, [x], points, 0.1)
+            assert (lo[0], hi[0]) == (cell, cell + 1), x
+            assert transition_matrix(frozen, [x], points, 0.1).entries[0, cell] == 1.0
 
 
 def _marginals(mats, x0_cell=0):
