@@ -83,26 +83,22 @@ def barrier_price(
         return 0.0
 
     call = payoff_type is PayoffType.CALL
+    if up and call and strike >= barrier:
+        return 0.0  # any in-the-money fixing would have crossed first
+    if not up and not call and strike <= barrier:
+        return 0.0
     phi = 1.0 if call else -1.0
     eta = -1.0 if up else 1.0
     strike_above = strike > barrier
-
-    if up and call:
-        if strike >= barrier:
-            return 0.0  # any in-the-money fixing would have crossed first
-        A, B, C, D = _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta)
-        return A - B + C - D
-    if up and not call:
-        A, B, C, D = _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta)
-        return B - D if strike_above else A - C
-    if not up and call:
-        A, B, C, D = _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta)
-        return A - C if strike_above else B - D
-    # down-and-out put
-    if strike <= barrier:
-        return 0.0
     A, B, C, D = _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta)
-    return A - B + C - D
+    if up == call:  # up-and-out call, down-and-out put
+        price = A - B + C - D
+    elif up:
+        price = B - D if strike_above else A - C
+    else:
+        price = A - C if strike_above else B - D
+    # the blocks can cancel to a few ulps below 0; a knock-out price is never negative
+    return max(price, 0.0)
 
 
 def price_closed_form(model: BlackScholes, contract: BarrierContract) -> PricingResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "euler_path",
     "rbb_price",
     "rbb_price_levels",
-    "estimator_variance_comparison",
 ]
 
 _BLOCK = 32768  # fixed accumulation block; keeps sums independent of batching
@@ -201,13 +200,3 @@ def rbb_price(model: Model, contract: BarrierContract, cfg: McConfig) -> Pricing
     """
     return rbb_price_levels(model, contract, [contract.barrier], cfg)[0]
 
-
-def estimator_variance_comparison(
-    model: Model,
-    contract: BarrierContract,
-    cfg: McConfig,
-) -> tuple[float, float]:
-    """Per-sample variances (indicator, conditional) on the same seed stream."""
-    ind = rbb_price(model, contract, replace(cfg, estimator=Estimator.INDICATOR))
-    cond = rbb_price(model, contract, replace(cfg, estimator=Estimator.CONDITIONAL_PRODUCT))
-    return ind.sample_variance, cond.sample_variance

@@ -5,11 +5,11 @@ Two time-homogeneous models are supported:
 * Black-Scholes: dX = r X dt + sigma X dW
 * pseudo-CEV:    dX = r X dt + vartheta X^(delta+1) / sqrt(1 + X^2) dW
 
-Both expose the drift, the diffusion coefficient and its derivative
-(needed by the quantizer ODE correction term), plus the one-step
-conditional distribution functions used to estimate grid transition
-probabilities: the exact lognormal law where available (Black-Scholes)
-and the Gaussian one-step Euler proxy otherwise.
+Both expose the drift and the diffusion coefficient (for the Euler scheme
+and the bridge), the two terms of the quantizer ODE in log x, plus the
+one-step conditional distribution functions used to estimate grid
+transition probabilities: the exact lognormal law where available
+(Black-Scholes) and the Gaussian one-step Euler proxy otherwise.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class BlackScholes:
     def diffusion(self, x):
         return self.sigma * np.asarray(x, dtype=float)
 
-    def diffusion_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, self.sigma)
+    def log_coefficients(self, y):
+        """Terms (a, v) of dy = a dt + v dalpha for y = log x: constants here."""
+        return self.r - 0.5 * self.sigma**2, self.sigma
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,22 @@ class PseudoCEV:
         return self.r * np.asarray(x, dtype=float)
 
     def diffusion(self, x):
+        # extended by 0 below zero (absorbed at 0), where x^(d+1) has no real value
         x = np.asarray(x, dtype=float)
-        return self.vartheta * x ** (self.delta + 1.0) / np.sqrt(1.0 + x * x)
+        return self.vartheta * np.maximum(x, 0.0) ** (self.delta + 1.0) / np.sqrt(1.0 + x * x)
 
-    def diffusion_prime(self, x):
-        # d/dx [vartheta x^(d+1) (1+x^2)^(-1/2)]; tends to 0 as x -> 0+
-        x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore"):
-            out = self.vartheta * (
-                (self.delta + 1.0) * x**self.delta / np.sqrt(1.0 + x * x)
-                - x ** (self.delta + 2.0) * (1.0 + x * x) ** -1.5
-            )
-        return np.where(x == 0.0, 0.0, out)
+    def log_coefficients(self, y):
+        """Terms (a, v) of dy = a dt + v dalpha for y = log x.
+
+        a = (b - sigma sigma'/2) / x and v = sigma / x, with sigma the
+        diffusion: v = vartheta x^d / sqrt(q) and sigma sigma' / x =
+        v^2 ((d+1) - x^2/q) for q = 1 + x^2.
+        """
+        y = np.asarray(y, dtype=float)
+        x2 = np.exp(2.0 * y)
+        q = 1.0 + x2
+        v = self.vartheta * np.exp(self.delta * y) / np.sqrt(q)
+        return self.r - 0.5 * v * v * ((self.delta + 1.0) - x2 / q), v
 
 
 Model = Union[BlackScholes, PseudoCEV]

@@ -5,15 +5,21 @@ Each Brownian quantizer path alpha_m drives a companion ODE
     dx/dt = b(x) - 1/2 sigma(x) sigma'(x) + sigma(x) alpha_m'(t),  x(0) = x0,
 
 whose solution sampled at the pricing dates t_k = k T / n gives a grid of
-price levels per date.  The ODE is integrated with a fixed-step explicit
-7-stage 6th-order Runge-Kutta method, all paths advanced together.  Under
-Black-Scholes the solution is x0 exp((r - sigma^2/2) t + sigma alpha_m(t)),
-which serves as the integration oracle in the tests.
+price levels per date.  The ODE is integrated in y = log x,
+
+    dy/dt = a(y) + v(y) alpha_m'(t),  a = (b - sigma sigma'/2) / x,  v = sigma / x,
+
+so every level is exp(y) > 0, with a fixed-step explicit 7-stage
+6th-order Runge-Kutta method, all paths advanced together.  Under
+Black-Scholes a and v are constants and the solution is
+x0 exp((r - sigma^2/2) t + sigma alpha_m(t)), which serves as the
+integration oracle in the tests.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +77,7 @@ def quantize_price_process(
     Parameters
     ----------
     model : Model
-        Diffusion supplying drift, diffusion and its derivative.
+        Diffusion supplying the log-space terms ``log_coefficients``.
     quantizer : BrownianProductQuantizer
         Driving path family; its horizon is the option maturity.
     n_steps : int
@@ -82,8 +88,8 @@ def quantize_price_process(
     Raises
     ------
     FloatingPointError
-        If a path state turns non-finite or leaves the positive half-line,
-        naming the offending path and time.
+        If a path's price turns non-finite, naming the offending path and
+        time.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -95,11 +101,11 @@ def quantize_price_process(
     dt = T / n_steps
     h = dt / substeps
 
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        sig = model.diffusion(x)
-        return model.drift(x) - 0.5 * sig * model.diffusion_prime(x) + sig * quantizer.all_path_derivatives(t)
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        a, v = model.log_coefficients(y)
+        return a + v * quantizer.all_path_derivatives(t)
 
-    x = np.full(d_n, float(model.x0))
+    y = np.full(d_n, math.log(model.x0))
     grids = np.empty((n_steps + 1, d_n))
     perms = np.empty((n_steps + 1, d_n), dtype=np.intp)
 
@@ -110,26 +116,22 @@ def quantize_price_process(
         ranks[order] = np.arange(d_n)
         perms[k] = ranks
 
-    record(0, x)
+    record(0, np.full(d_n, float(model.x0)))
     stages = np.empty((7, d_n))
     for k in range(n_steps):
         for s in range(substeps):
             t = k * dt + s * h
             for i in range(7):
-                xi = x + h * (RK6_A[i, :i] @ stages[:i]) if i else x
+                yi = y + h * (RK6_A[i, :i] @ stages[:i]) if i else y
                 # k dt + s h + c h can round one ulp past T at the last stage
-                stages[i] = rhs(min(t + RK6_C[i] * h, T), xi)
-            x = x + h * (RK6_B @ stages)
+                stages[i] = rhs(min(t + RK6_C[i] * h, T), yi)
+            y = y + h * (RK6_B @ stages)
+        x = np.exp(y)
         bad = ~np.isfinite(x)
         if np.any(bad):
             m = int(np.argmax(bad))
             raise FloatingPointError(
                 f"path {m} became non-finite at t={(k + 1) * dt:.6g} during grid integration"
-            )
-        if np.any(x <= 0.0):
-            m = int(np.argmin(x))
-            raise FloatingPointError(
-                f"path {m} reached a nonpositive price ({x[m]:.6g}) at t={(k + 1) * dt:.6g}"
             )
         record(k + 1, x)
 

@@ -8,6 +8,7 @@ on one core), so the module takes several minutes end to end.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fqbarrier.brownian import optimal_decomposition
 from fqbarrier.closed_form import vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.gaussian import lloyd_step, optimal_normal_quantizer
-from fqbarrier.mc_pricer import Estimator, McConfig, estimator_variance_comparison, rbb_price_levels
+from fqbarrier.mc_pricer import Estimator, McConfig, rbb_price, rbb_price_levels
 from fqbarrier.models import conditional_cdf_exact
 from fqbarrier.quant_pricer import price_barrier, quantized_kernel
 from fqbarrier.tables import DEFAULT_SEED, REFERENCE_SEED_OFFSET, TABLE_SPECS, run_table
@@ -125,7 +126,8 @@ def test_criterion_4_rbb_monte_carlo_table_2(table_rows):
 
 def test_criterion_5_conditional_estimator_reduces_variance():
     cfg = McConfig(n_steps=20, n_paths=100_000, seed=271828)
-    var_ind, var_cond = estimator_variance_comparison(BS07, uoc(120.0), cfg)
+    var_ind = rbb_price(BS07, uoc(120.0), replace(cfg, estimator=Estimator.INDICATOR)).sample_variance
+    var_cond = rbb_price(BS07, uoc(120.0), replace(cfg, estimator=Estimator.CONDITIONAL_PRODUCT)).sample_variance
     ok = var_cond < var_ind
     _report(5, ok, f"indicator variance {var_ind:.3f} vs conditional {var_cond:.3f}")
     assert ok

@@ -77,6 +77,11 @@ class TestBarrierStructure:
         got = barrier_price(100.0, 85.0, 90.0, 1.0, 0.15, 0.2, BarrierType.DOWN_AND_OUT, PayoffType.PUT)
         assert got == 0.0
 
+    def test_never_negative_where_the_blocks_cancel(self):
+        # both cancel to -1.38e-14 and -1.96e-35 without the floor
+        assert uo_call(100.0000001, 0.07) == 0.0
+        assert barrier_price(100.0, 100.0, 60.0, 30.0, -0.5, 0.2, BarrierType.DOWN_AND_OUT, PayoffType.PUT) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             barrier_price(100.0, 100.0, -1.0, 1.0, 0.15, 0.07, BarrierType.UP_AND_OUT, PayoffType.CALL)

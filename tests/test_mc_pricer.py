@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from fqbarrier.mc_pricer import (
     Estimator,
     McConfig,
     _path_draws,
-    estimator_variance_comparison,
     euler_path,
     rbb_price,
     rbb_price_levels,
 )
+from fqbarrier.models import PseudoCEV
 from tests.conftest import BS07
 
 
@@ -81,6 +82,19 @@ class TestRbbPrice:
         assert res.price == 0.0
         assert res.sample_variance == 0.0
 
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_pcev_paths_crossing_zero_stay_finite(self, estimator):
+        # an Euler step below 0 made sigma(x) = vartheta x^(d+1) / sqrt(1+x^2) NaN
+        model = PseudoCEV(r=0.0, vartheta=5.0, delta=0.9, x0=1.0)
+        cfg = McConfig(n_steps=20, n_paths=20_000, seed=1, estimator=estimator)
+        for contract in (
+            BarrierContract(BarrierType.DOWN_AND_OUT, PayoffType.PUT, 1.0, 0.5, 5.0),
+            BarrierContract(BarrierType.UP_AND_OUT, PayoffType.CALL, 1.0, 3.0, 5.0),
+        ):
+            res = rbb_price(model, contract, cfg)
+            assert math.isfinite(res.price) and res.price >= 0.0
+            assert math.isfinite(res.sample_variance)
+
     def test_std_error_consistent_with_variance(self):
         cfg = McConfig(n_steps=10, n_paths=50_000, seed=11)
         res = rbb_price(BS07, uoc(120.0), cfg)
@@ -139,10 +153,12 @@ class TestRbbPrice:
 class TestVarianceReduction:
     def test_conditional_variance_below_indicator(self):
         cfg = McConfig(n_steps=20, n_paths=20_000, seed=31)
-        var_ind, var_cond = estimator_variance_comparison(BS07, uoc(120.0), cfg)
+        var_ind = rbb_price(BS07, uoc(120.0), replace(cfg, estimator=Estimator.INDICATOR)).sample_variance
+        var_cond = rbb_price(BS07, uoc(120.0), replace(cfg, estimator=Estimator.CONDITIONAL_PRODUCT)).sample_variance
         assert var_cond < var_ind
 
     def test_degenerate_case_both_zero(self):
         cfg = McConfig(n_steps=10, n_paths=5_000, seed=37)
-        var_ind, var_cond = estimator_variance_comparison(BS07, uoc(95.0), cfg)
+        var_ind = rbb_price(BS07, uoc(95.0), replace(cfg, estimator=Estimator.INDICATOR)).sample_variance
+        var_cond = rbb_price(BS07, uoc(95.0), replace(cfg, estimator=Estimator.CONDITIONAL_PRODUCT)).sample_variance
         assert var_ind == 0.0 and var_cond == 0.0

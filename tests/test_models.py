@@ -31,17 +31,30 @@ class TestCoefficients:
         assert BS07.diffusion(0.0) == 0.0
         assert PCEV07.diffusion(0.0) == 0.0
 
-    def test_diffusion_prime(self):
-        x = np.array([1.0, 50.0, 100.0])
-        assert np.allclose(BS07.diffusion_prime(x), 0.07)
-        assert PCEV07.diffusion_prime(100.0) == pytest.approx(PCEV_DIFFUSION_PRIME_AT_100, rel=1e-12, abs=0)
-        assert PCEV07.diffusion_prime(0.0) == 0.0
+    def test_diffusion_is_zero_below_zero(self):
+        # the CEV absorbing convention; x^(d+1) has no real value there
+        assert PCEV07.diffusion(-1.0) == 0.0
 
-    def test_diffusion_prime_matches_finite_differences(self):
+    def test_log_coefficients(self):
+        a, v = BS07.log_coefficients(np.log([1.0, 50.0, 100.0]))
+        assert a == 0.15 - 0.5 * 0.07**2 and v == 0.07
+        a, v = PCEV07.log_coefficients(math.log(100.0))
+        s, ds = PCEV_DIFFUSION_AT_100, PCEV_DIFFUSION_PRIME_AT_100
+        assert v == pytest.approx(s / 100.0, rel=1e-12, abs=0)
+        assert a == pytest.approx(0.15 - 0.5 * s * ds / 100.0, rel=1e-12, abs=0)
+
+    def test_log_coefficients_match_finite_differences(self):
         h = 1e-4
         for x in (5.0, 100.0, 400.0):
-            fd = (PCEV07.diffusion(x + h) - PCEV07.diffusion(x - h)) / (2 * h)
-            assert fd == pytest.approx(float(PCEV07.diffusion_prime(x)), rel=1e-6)
+            s = float(PCEV07.diffusion(x))
+            ds = (PCEV07.diffusion(x + h) - PCEV07.diffusion(x - h)) / (2 * h)
+            a, v = PCEV07.log_coefficients(math.log(x))
+            assert v == pytest.approx(s / x, rel=1e-12)
+            assert 0.15 - a == pytest.approx(0.5 * s * ds / x, rel=1e-6)
+
+    def test_log_coefficients_finite_at_extremes(self):
+        a, v = PCEV07.log_coefficients(np.log([1e-6, 1e6]))
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(v))
 
     def test_pcev_close_to_bs_at_calibration_point(self):
         # vartheta = sigma * x0^(1-delta) puts the local vol near sigma at x0

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from fqbarrier.brownian import brownian_product_quantizer, build_product_quantizer
-from fqbarrier.models import BlackScholes
+from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
+from fqbarrier.models import BlackScholes, PseudoCEV
 from fqbarrier.price_grid import RK6_A, RK6_B, RK6_C, dump_grids, quantize_price_process
+from fqbarrier.quant_pricer import price_barrier_quant
 from tests.conftest import BS07
 
 
@@ -105,48 +107,43 @@ class TestGridStructure:
         assert np.all(np.isfinite(grid.grids))
 
 
-class _PlungingModel:
-    """Toy coefficients driving every path negative in a few steps."""
-
-    x0 = 1.0
-
-    def drift(self, x):
-        return np.full_like(np.asarray(x, dtype=float), -50.0)
-
-    def diffusion(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def diffusion_prime(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
 class _ExplodingModel:
-    """Superlinear drift whose solution blows past the float range."""
+    """Superlinear drift b(x) = 1e3 x^2 whose solution blows past the float range."""
 
     x0 = 100.0
 
-    def drift(self, x):
-        x = np.asarray(x, dtype=float)
+    def log_coefficients(self, y):
         with np.errstate(over="ignore"):
-            return 1e3 * x * x
-
-    def diffusion(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def diffusion_prime(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+            return 1e3 * np.exp(y), 0.0
 
 
 class TestIntegrationFailures:
-    def test_nonpositive_state_raises(self):
-        q = build_product_quantizer([2], horizon=1.0)
-        with pytest.raises(FloatingPointError, match="nonpositive"):
-            quantize_price_process(_PlungingModel(), q, 4, substeps=1)
-
     def test_nonfinite_state_raises(self):
         q = build_product_quantizer([2], horizon=1.0)
         with pytest.raises(FloatingPointError, match="non-finite"):
             quantize_price_process(_ExplodingModel(), q, 4, substeps=1)
+
+
+class TestLogCoordinates:
+    def test_black_scholes_oracle_long_horizon(self):
+        model = BlackScholes(r=0.15, sigma=0.3, x0=100.0)
+        q = brownian_product_quantizer(1000, 5.0)
+        g = quantize_price_process(model, q, 20)
+        worst = 0.0
+        for k in range(21):
+            exact = 100.0 * np.exp((0.15 - 0.3**2 / 2) * g.dates[k] + 0.3 * q.all_path_values(g.dates[k]))
+            worst = max(worst, np.max(np.abs(g.grids[k][g.permutations[k]] - exact) / exact))
+        assert worst < 5e-12
+
+    @pytest.mark.parametrize(
+        "r, vartheta, delta, x0, maturity, n_steps",
+        [(0.0, 5.0, 0.9, 1.0, 5.0, 20), (-1.0, 3.0, 0.2, 0.1, 5.0, 10), (0.0, 20.0, 0.99, 1.0, 1.0, 20)],
+    )
+    def test_pcev_paths_that_crossed_zero_in_x_price(self, r, vartheta, delta, x0, maturity, n_steps):
+        # an RK stage in x stepped below 0 here, where x^(d+1) is NaN
+        contract = BarrierContract(BarrierType.DOWN_AND_OUT, PayoffType.PUT, x0, x0 / 2, maturity)
+        price = price_barrier_quant(PseudoCEV(r, vartheta, delta, x0), contract, n_steps, 1000).price
+        assert math.isfinite(price) and price >= 0.0
 
 
 class TestDump:
