@@ -26,7 +26,6 @@ from .gaussian import GaussianQuantizer, cached_normal_quantizer
 
 __all__ = [
     "kl_eigenvalue",
-    "kl_eigenfunction",
     "ProductDecomposition",
     "optimal_decomposition",
     "BrownianProductQuantizer",
@@ -43,16 +42,6 @@ def kl_eigenvalue(k: int, horizon: float) -> float:
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     return (horizon / (math.pi * (k - 0.5))) ** 2
-
-
-def kl_eigenfunction(k: int, t, horizon: float):
-    """k-th eigenfunction sqrt(2/T) sin(pi (k-1/2) t / T); vectorized in t."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    t = np.asarray(t, dtype=float)
-    return np.sqrt(2.0 / horizon) * np.sin(math.pi * (k - 0.5) * t / horizon)
 
 
 @dataclass(frozen=True)

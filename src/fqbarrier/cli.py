@@ -26,11 +26,11 @@ from .closed_form import price_closed_form
 from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
 from .gaussian import optimal_normal_quantizer, save_quantizer
 from .mc_pricer import Estimator, McConfig, rbb_price
-from .models import BlackScholes, model_from_dict
+from .models import BlackScholes, model_from_dict, one_step_law
 from .price_grid import dump_grids, quantize_price_process
 from .quant_pricer import price_barrier
 from .tables import DEFAULT_SEED, run_table, write_table_csv
-from .transitions import dump_transitions, transition_matrices
+from .transitions import dump_transitions, transition_steps
 
 __all__ = ["main", "run_config"]
 
@@ -76,14 +76,15 @@ def run_config(config: dict) -> PricingResult:
     if method == "quant":
         budget = _int_param(params, "budget", 1000)
         steps, substeps = _int_param(params, "steps", 20), _int_param(params, "substeps", 4)
+        cdf_mode = params.get("cdf_mode")
+        one_step_law(model, model.x0, contract.maturity, cdf_mode)  # reject a bad mode before any output
         start = time.perf_counter()
         quantizer = brownian_product_quantizer(budget, contract.maturity)
         grid = quantize_price_process(model, quantizer, steps, substeps)
-        cdf_mode = params.get("cdf_mode")
         if params.get("dump_grids"):
             dump_grids(grid, params["dump_grids"])
         if params.get("dump_transitions"):
-            dump_transitions(transition_matrices(model, grid, cdf_mode), params["dump_transitions"])
+            dump_transitions(transition_steps(model, grid, cdf_mode), params["dump_transitions"])
         result = price_barrier(model, contract, grid, cdf_mode)
         result.elapsed = time.perf_counter() - start
         return result

@@ -35,7 +35,6 @@ from .models import Model
 __all__ = [
     "Estimator",
     "McConfig",
-    "euler_path",
     "rbb_price",
     "rbb_price_levels",
 ]
@@ -59,25 +58,6 @@ class McConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
-
-
-def euler_path(model: Model, n_steps: int, maturity: float, normals) -> np.ndarray:
-    """Discrete Euler recursion from x0 driven by given standard normals.
-
-    ``normals`` has shape (..., n_steps); the result appends the initial
-    price, shape (..., n_steps + 1).
-    """
-    z = np.asarray(normals, dtype=float)
-    if z.shape[-1] != n_steps:
-        raise ValueError(f"expected {n_steps} normal draws per path, got {z.shape[-1]}")
-    dt = maturity / n_steps
-    sq = math.sqrt(dt)
-    out = np.empty(z.shape[:-1] + (n_steps + 1,))
-    out[..., 0] = model.x0
-    for k in range(n_steps):
-        x = out[..., k]
-        out[..., k + 1] = x + model.drift(x) * dt + model.diffusion(x) * sq * z[..., k]
-    return out
 
 
 def _path_draws(seed: int, first_path: int, count: int, n_steps: int):

@@ -6,10 +6,12 @@ Two time-homogeneous models are supported:
 * pseudo-CEV:    dX = r X dt + vartheta X^(delta+1) / sqrt(1 + X^2) dW
 
 Both expose the drift and the diffusion coefficient (for the Euler scheme
-and the bridge), the two terms of the quantizer ODE in log x, plus the
-one-step conditional distribution functions used to estimate grid
-transition probabilities: the exact lognormal law where available
-(Black-Scholes) and the Gaussian one-step Euler proxy otherwise.
+and the bridge) and the two terms of the quantizer ODE in log x.
+``one_step_law`` gives the one-step conditional law of the price from a
+set of source points, which the grid transition probabilities evaluate.
+It is Gaussian in some coordinate: in log x for the exact law of
+Black-Scholes, and in x itself for the one-step Euler proxy that serves
+every model.
 """
 
 from __future__ import annotations
@@ -25,12 +27,9 @@ __all__ = [
     "BlackScholes",
     "PseudoCEV",
     "Model",
-    "conditional_cdf_exact",
-    "conditional_cdf_euler",
-    "conditional_quantile_exact",
-    "conditional_quantile_euler",
-    "has_exact_transition_cdf",
+    "OneStepLaw",
     "model_from_dict",
+    "one_step_law",
 ]
 
 
@@ -110,94 +109,68 @@ class PseudoCEV:
 Model = Union[BlackScholes, PseudoCEV]
 
 
-def has_exact_transition_cdf(model: Model) -> bool:
-    """True when the one-step conditional law has a closed form."""
-    return isinstance(model, BlackScholes)
+@dataclass(frozen=True)
+class OneStepLaw:
+    """Law of X_{t+dt} given X_t = x_i for each source point x_i: Gaussian in u(X).
 
-
-def _into(out, value):
-    """``value``, written into ``out`` when one is given."""
-    if out is None:
-        return value
-    out[...] = value
-    return out
-
-
-def _lognormal_params(model: BlackScholes, dt: float) -> tuple[float, float]:
-    """Mean and standard deviation of log(X_{t+dt} / X_t) under Black-Scholes."""
-    if not isinstance(model, BlackScholes):
-        raise ValueError("exact conditional law is only available for Black-Scholes")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return (model.r - 0.5 * model.sigma**2) * dt, model.sigma * math.sqrt(dt)
-
-
-def _euler_params(model: Model, x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation of one Euler step from ``x``."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return x + model.drift(x) * dt, model.diffusion(x) * math.sqrt(dt)
-
-
-def conditional_cdf_exact(model: BlackScholes, z, x, dt: float, out=None):
-    """P(X_{t+dt} <= z | X_t = x) under Black-Scholes (lognormal law).
-
-    Broadcasts over ``z`` and ``x``; an ``out`` array of the broadcast shape
-    receives the result and every intermediate.  With sigma = 0 the law
-    degenerates to the point x * exp(r dt).
+    u is log (``log=True``) or the identity, and u(X) is normal with mean
+    ``origin_i + shift`` and standard deviation ``sd_i``, so the CDF at z is
+    ndtr(((u(z) - origin_i) - shift) / sd_i).  A source with sd = 0 holds
+    its point u^-1(origin_i + shift) with probability one.
     """
-    mu, s = _lognormal_params(model, dt)
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if model.sigma == 0.0:
-        return _into(out, (z >= x * math.exp(model.r * dt)).astype(float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.divide(np.subtract(np.subtract(np.log(z), np.log(x), out=out), mu, out=out), s, out=out)
-    cdf = ndtr(arg, out=out)
-    if np.all(z > 0.0):
+
+    log: bool
+    origin: np.ndarray
+    shift: float
+    sd: np.ndarray
+
+    def _from_u(self, u):
+        return np.exp(u) if self.log else u
+
+    def cdf(self, z, rows=slice(None), out=None) -> np.ndarray:
+        """P(X_{t+dt} <= z_j | X_t = x_i) for the sources ``rows``, shape (sources, z).
+
+        ``out``, of that shape, receives the result and every intermediate.
+        Under the log law the CDF is 0 for z <= 0.
+        """
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        origin, sd = self.origin[rows, None], self.sd[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.log(np.maximum(z, 0.0)) if self.log else z
+            arg = np.subtract(u, origin, out=out)
+            if self.shift:  # the Euler law's 0.0 would leave every argument as it is
+                np.subtract(arg, self.shift, out=arg)
+            cdf = ndtr(np.divide(arg, sd, out=arg), out=arg)
+        point = sd[:, 0] == 0.0
+        if point.any():
+            cdf[point] = z >= self._from_u(origin[point] + self.shift)
         return cdf
-    return _into(out, np.where(z > 0.0, cdf, 0.0))
+
+    def quantile(self, scores) -> np.ndarray:
+        """The z where the CDF from each source is ndtr(score); broadcasts ``scores`` over the sources."""
+        return self._from_u(self.origin + self.shift + np.asarray(scores, dtype=float) * self.sd)
 
 
-def conditional_cdf_euler(model: Model, z, x, dt: float, out=None):
-    """Gaussian proxy for P(X_{t+dt} <= z | X_t = x) from one Euler step.
+def one_step_law(model: Model, x, dt: float, cdf_mode: str | None = None) -> OneStepLaw:
+    """One-step conditional law from each point of ``x`` over ``dt``.
 
-    The conditional law is approximated by N(x + b(x) dt, (x sigma(x))^2 dt).
-    Broadcasts over ``z`` and ``x``; an ``out`` array of the broadcast shape
-    receives the result and every intermediate.
+    ``cdf_mode`` "exact" gives the lognormal law of Black-Scholes, "euler"
+    the Gaussian law of one Euler step, N(x + b(x) dt, sigma(x)^2 dt), and
+    None the exact law whenever the model has one.
     """
-    z = np.asarray(z, dtype=float)
-    mean, sd = _euler_params(model, np.asarray(x, dtype=float), dt)
-    degenerate = sd == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.divide(np.subtract(z, mean, out=out), sd, out=out)
-    cdf = ndtr(arg, out=out)
-    if np.any(degenerate):
-        cdf = _into(out, np.where(degenerate, (z >= mean).astype(float), cdf))
-    return cdf
-
-
-def conditional_quantile_exact(model: BlackScholes, score, x, dt: float) -> np.ndarray:
-    """The z where ``conditional_cdf_exact`` takes ndtr at ``score``: x exp(mu + score s).
-
-    Broadcasts over ``score`` and ``x``.  With sigma = 0 it is the point
-    x * exp(r dt) of the degenerate law, for every score.
-    """
-    mu, s = _lognormal_params(model, dt)
-    x = np.asarray(x, dtype=float)
-    if model.sigma == 0.0:
-        return np.broadcast_to(x * math.exp(model.r * dt), np.broadcast_shapes(np.shape(score), x.shape))
-    return x * np.exp(mu + np.asarray(score, dtype=float) * s)
-
-
-def conditional_quantile_euler(model: Model, score, x, dt: float) -> np.ndarray:
-    """The z where ``conditional_cdf_euler`` takes ndtr at ``score``: mean + score sd.
-
-    Broadcasts over ``score`` and ``x``; where sd = 0 it is the mean, the
-    point of the degenerate law.
-    """
-    mean, sd = _euler_params(model, np.asarray(x, dtype=float), dt)
-    return mean + np.asarray(score, dtype=float) * sd
+    if cdf_mode is None:
+        cdf_mode = "exact" if isinstance(model, BlackScholes) else "euler"
+    if cdf_mode not in ("exact", "euler"):
+        raise ValueError(f"unknown cdf_mode {cdf_mode!r}")
+    if cdf_mode == "exact" and not isinstance(model, BlackScholes):
+        raise ValueError("exact conditional law unavailable for this model; use cdf_mode='euler'")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if cdf_mode == "exact":
+        sd = np.full(x.shape, model.sigma * math.sqrt(dt))
+        return OneStepLaw(True, np.log(x), (model.r - 0.5 * model.sigma**2) * dt, sd)
+    return OneStepLaw(False, x + model.drift(x) * dt, 0.0, model.diffusion(x) * math.sqrt(dt))
 
 
 def model_from_dict(block: dict) -> Model:

@@ -15,19 +15,19 @@ the expected payoff under it prices the option.
 A survival factor is exactly 0 when either end of the interval lies
 beyond the barrier, so step k prices only from the live points of date
 k-1 into the live cells of date k, from the single point x0 at step 1.
-It takes the source points in blocks of 32 rows.  Each block evaluates
-the conditional CDF only on its band: the live cells between the lowest
-and the highest cut of its rows.  Above the upper cut, 8.5 standard
-deviations above the mean of the one-step law (of its log, for the
-lognormal law), ``ndtr`` is exactly 1.0, so the cells there have
-probability 0 bit for bit; below the lower cut, 9 standard deviations
-below, the law has at most ndtr(-9) = 1.1e-19, which the band's first
-cell absorbs.  The
-survival factor is exactly 1.0 wherever its exponent is at most
--54 ln 2, so each block evaluates it only on the part of its band nearer
-the barrier.  The block's mass is then pushed into the band of the next
-date's measure.  A call holds two 32-row work arrays and a few
-d_N-vectors, so memory grows neither with the step count nor with d_N^2.
+It builds the one-step law of those points once (``models.one_step_law``)
+and takes them in blocks of 32 rows.  Each block evaluates the law's CDF
+only on its band: the live cells between the lowest and the highest cut
+of its rows.  Above the upper cut, 8.5 standard deviations above the
+mean of the law (of its log, for the lognormal law), ``ndtr`` is exactly
+1.0, so the cells there have probability 0 bit for bit; below the lower
+cut, 9 standard deviations below, the law has at most ndtr(-9) =
+1.1e-19, which the band's first cell absorbs.  The survival factor is
+exactly 1.0 wherever its exponent is at most -54 ln 2, so each block
+evaluates it only on the part of its band nearer the barrier.  The
+block's mass is then pushed into the band of the next date's measure.  A
+call holds two 32-row work arrays and a few d_N-vectors, so memory grows
+neither with the step count nor with d_N^2.
 The prices agree with the full-matrix chain e0 H_1 ... H_n within about
 5e-15 relative (the order of the blockwise sums; the tests bound it by
 1e-13), and a chain that prices exactly 0 still does.
@@ -42,9 +42,9 @@ import numpy as np
 from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf, no_crossing
 from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult
-from .models import Model
+from .models import Model, one_step_law
 from .price_grid import QuantizedPriceGrid, quantize_price_process
-from .transitions import conditional_cdf, mass_cells, transition_block
+from .transitions import mass_cells, transition_block
 from .transitions import transition_matrices  # noqa: F401  the benchmark tracer wraps this attribute
 
 __all__ = [
@@ -216,17 +216,15 @@ def price_barrier(
     """Price the contract on prebuilt grids.
 
     ``cdf_mode`` selects the one-step conditional law as in
-    ``transition_block``.  The grid must span the contract's maturity and
-    start at the model's x0.  A contract whose live set is empty at some
-    date prices exactly 0.
+    ``models.one_step_law``.  The grid must span the contract's maturity
+    and start at the model's x0.  A contract whose live set is empty at
+    some date prices exactly 0.
     """
     start = time.perf_counter()
     grids, n = grid.grids, grid.n_steps
-    conditional_cdf(model, cdf_mode)  # reject a bad mode before any early return
     if n < 1 or grids.ndim != 2 or grids.shape[0] != n + 1 or grids.shape[1] == 0:
         raise ValueError("need n_steps >= 1 and one nonempty grid per pricing date")
-    if not grid.horizon > 0.0:
-        raise ValueError("dt must be positive")
+    one_step_law(model, model.x0, grid.horizon / n, cdf_mode)  # reject a bad mode before any early return
     if grid.horizon != contract.maturity:
         raise ValueError(f"grid horizon {grid.horizon} differs from the contract maturity {contract.maturity}")
     if grids[0][0] != model.x0:
@@ -241,10 +239,10 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
 
     The masses are None when the live set is empty at some date.  Step k
     takes the live points of date k-1 (the single point x0 at step 1) in
-    blocks of ``_BAND_ROWS``.  Each block evaluates the CDF only on its
-    band, the live cells between the lowest and the highest of its rows'
-    ``mass_cells``, damps it by the survival factor and pushes its mass
-    into the band.  The band's first cell absorbs the tail below the lower
+    blocks of ``_BAND_ROWS``, with one one-step law for all of them.  Each
+    block evaluates the law's CDF only on its band, the live cells between
+    the lowest and the highest of its rows' ``mass_cells``, damps it by
+    the survival factor and pushes its mass into the band.  The band's first cell absorbs the tail below the lower
     cut, so the rows keep their sums.
     """
     grids, n = grid.grids, grid.n_steps
@@ -260,7 +258,8 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
     for k in range(1, n + 1):
         lo, hi = live[k]
         gn = grids[k]
-        cells = np.clip(mass_cells(model, src, gn, dt, cdf_mode), lo, hi)
+        law = one_step_law(model, src, dt, cdf_mode)
+        cells = np.clip(mass_cells(law, gn), lo, hi)
         starts = np.arange(0, src.size, _BAND_ROWS)
         bands = zip(starts, np.minimum.reduceat(cells[0], starts), np.maximum.reduceat(cells[1], starts))
         survival = _Survival(src, gn[lo:hi], np.asarray(model.diffusion(src)), contract, n, grid.horizon)
@@ -276,7 +275,7 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
             while True:
                 cum = work[: m * (z - a + 1)].reshape(m, z - a + 1)
                 p = kernel[: m * (z - a)].reshape(m, z - a)
-                transition_block(model, src[rows], gn[bottom:], a - bottom, z - bottom, dt, cdf_mode, out=p, work=cum)
+                transition_block(law, gn[bottom:], a - bottom, z - bottom, rows, out=p, work=cum)
                 if z == hi or (cum[:, -1] == 1.0).all():
                     break
                 z = hi  # a spread too small for the cut's margin: take the rest of the live cells

@@ -20,7 +20,7 @@ from fqbarrier.closed_form import vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.gaussian import lloyd_step, optimal_normal_quantizer
 from fqbarrier.mc_pricer import Estimator, McConfig, rbb_price, rbb_price_levels
-from fqbarrier.models import conditional_cdf_exact
+from fqbarrier.models import one_step_law
 from fqbarrier.quant_pricer import price_barrier, quantized_kernel
 from fqbarrier.tables import DEFAULT_SEED, REFERENCE_SEED_OFFSET, TABLE_SPECS, run_table
 from tests.conftest import BS07
@@ -201,7 +201,7 @@ def test_criterion_9_structural_invariants(quant_pipeline):
     for k in (1, 10, 20):
         gp, gn = grid.grids[k - 1], grid.grids[k]
         inner = 0.5 * (gn[:-1] + gn[1:])
-        cum = conditional_cdf_exact(BS07, inner[None, :], gp[:, None], 1.0 / 20)
+        cum = one_step_law(BS07, gp, 1.0 / 20, "exact").cdf(inner)
         raw = np.diff(np.concatenate([np.zeros((966, 1)), cum, np.ones((966, 1))], axis=1), axis=1)
         deficit = max(deficit, float(np.max(np.abs(raw.sum(axis=1) - 1.0))))
     checks.append(("pre-normalization deficit", deficit < 1e-6))

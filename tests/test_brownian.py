@@ -10,7 +10,6 @@ from fqbarrier import gaussian
 from fqbarrier.brownian import (
     brownian_product_quantizer,
     build_product_quantizer,
-    kl_eigenfunction,
     kl_eigenvalue,
     optimal_decomposition,
     save_paths,
@@ -22,6 +21,11 @@ PATH_VALUE_T1 = 0.7183484885006662
 PATH_DERIV_T0 = 1.1283791670955126
 # frozen from the quadrature-based enumeration oracle
 OBJECTIVE_BUDGET_4 = 0.1423288649448755
+
+
+def kl_eigenfunction(k, t, horizon):
+    """k-th eigenfunction sqrt(2/T) sin(pi (k-1/2) t / T) of the Brownian covariance; vectorized in t."""
+    return np.sqrt(2.0 / horizon) * np.sin(math.pi * (k - 0.5) * np.asarray(t, dtype=float) / horizon)
 
 
 class TestEigensystem:

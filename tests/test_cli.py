@@ -157,6 +157,20 @@ class TestPriceCommands:
         assert main(["price-quant", "--config", str(path)]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, mode, message", [
+        ("bs", "Exact", "unknown cdf_mode 'Exact'"),
+        ("pcev", "exact", "exact conditional law unavailable"),
+    ])
+    def test_bad_cdf_mode_fails_before_any_dump(self, bs_config, pcev_config, tmp_path, capsys, config, mode, message):
+        path = bs_config[0] if config == "bs" else pcev_config
+        cfg = json.loads(path.read_text())
+        cfg["params"] = {"steps": 3, "budget": 6, "cdf_mode": mode,
+                         "dump_grids": str(tmp_path / "grids.csv"), "dump_transitions": str(tmp_path / "trans.csv")}
+        path.write_text(json.dumps(cfg))
+        assert main(["price-quant", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "grids.csv").exists() and not (tmp_path / "trans.csv").exists()
+
     def test_unknown_method(self, bs_config):
         _, cfg = bs_config
         with pytest.raises(ValueError):

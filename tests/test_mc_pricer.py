@@ -10,12 +10,30 @@ from fqbarrier.mc_pricer import (
     Estimator,
     McConfig,
     _path_draws,
-    euler_path,
     rbb_price,
     rbb_price_levels,
 )
 from fqbarrier.models import PseudoCEV
 from tests.conftest import BS07
+
+
+def euler_path(model, n_steps, maturity, normals):
+    """Discrete Euler recursion from x0 driven by given standard normals.
+
+    ``normals`` has shape (..., n_steps); the result appends the initial
+    price, shape (..., n_steps + 1).
+    """
+    z = np.asarray(normals, dtype=float)
+    if z.shape[-1] != n_steps:
+        raise ValueError(f"expected {n_steps} normal draws per path, got {z.shape[-1]}")
+    dt = maturity / n_steps
+    sq = math.sqrt(dt)
+    out = np.empty(z.shape[:-1] + (n_steps + 1,))
+    out[..., 0] = model.x0
+    for k in range(n_steps):
+        x = out[..., k]
+        out[..., k + 1] = x + model.drift(x) * dt + model.diffusion(x) * sq * z[..., k]
+    return out
 
 
 def uoc(barrier, strike=100.0):

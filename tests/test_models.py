@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fqbarrier.models import (
     BlackScholes,
     PseudoCEV,
-    conditional_cdf_euler,
-    conditional_cdf_exact,
     model_from_dict,
+    one_step_law,
 )
 from tests.conftest import BS07, PCEV07
 
@@ -17,6 +17,16 @@ PCEV_DIFFUSION_AT_100 = 6.999650026247813
 PCEV_DIFFUSION_PRIME_AT_100 = 0.03500524908137031
 EXACT_CDF_AT_SPOT = 0.25252566906
 EULER_CDF_AT_SPOT = 0.249002865868
+
+
+def exact_cdf(model, z, x, dt):
+    """CDF of the exact one-step law from the single point ``x``, over ``z``."""
+    return one_step_law(model, x, dt, "exact").cdf(z)[0].reshape(np.shape(z))
+
+
+def euler_cdf(model, z, x, dt):
+    """CDF of the one-step Euler law from the single point ``x``, over ``z``."""
+    return one_step_law(model, x, dt, "euler").cdf(z)[0].reshape(np.shape(z))
 
 
 class TestCoefficients:
@@ -89,58 +99,58 @@ class TestCoefficients:
 class TestExactConditionalCdf:
     def test_median(self):
         z = 100.0 * math.exp((0.15 - 0.07**2 / 2) * 0.1)
-        assert conditional_cdf_exact(BS07, z, 100.0, 0.1) == pytest.approx(0.5, abs=1e-12)
+        assert exact_cdf(BS07, z, 100.0, 0.1) == pytest.approx(0.5, abs=1e-12)
 
     def test_limits(self):
-        assert conditional_cdf_exact(BS07, 1e12, 100.0, 0.1) == pytest.approx(1.0, abs=1e-12)
-        assert conditional_cdf_exact(BS07, 0.0, 100.0, 0.1) == 0.0
-        assert conditional_cdf_exact(BS07, -5.0, 100.0, 0.1) == 0.0
+        assert exact_cdf(BS07, 1e12, 100.0, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert exact_cdf(BS07, 0.0, 100.0, 0.1) == 0.0
+        assert exact_cdf(BS07, -5.0, 100.0, 0.1) == 0.0
 
     def test_frozen_value_at_spot(self):
-        assert conditional_cdf_exact(BS07, 100.0, 100.0, 0.1) == pytest.approx(
+        assert exact_cdf(BS07, 100.0, 100.0, 0.1) == pytest.approx(
             EXACT_CDF_AT_SPOT, abs=1e-9
         )
 
     def test_zero_vol_degenerates_to_indicator(self):
         flat = BlackScholes(r=0.15, sigma=0.0, x0=100.0)
         fwd = 100.0 * math.exp(0.15 * 0.1)
-        assert conditional_cdf_exact(flat, fwd - 1e-9, 100.0, 0.1) == 0.0
-        assert conditional_cdf_exact(flat, fwd + 1e-9, 100.0, 0.1) == 1.0
+        assert exact_cdf(flat, fwd - 1e-9, 100.0, 0.1) == 0.0
+        assert exact_cdf(flat, fwd + 1e-9, 100.0, 0.1) == 1.0
 
     def test_rejects_pcev(self):
         with pytest.raises(ValueError):
-            conditional_cdf_exact(PCEV07, 100.0, 100.0, 0.1)
+            exact_cdf(PCEV07, 100.0, 100.0, 0.1)
 
 
 class TestEulerConditionalCdf:
     def test_median_at_drifted_mean(self):
         mean = 100.0 + 15.0 * 0.1
-        assert conditional_cdf_euler(BS07, mean, 100.0, 0.1) == pytest.approx(0.5, abs=1e-12)
+        assert euler_cdf(BS07, mean, 100.0, 0.1) == pytest.approx(0.5, abs=1e-12)
 
     def test_limits(self):
-        assert conditional_cdf_euler(BS07, 1e9, 100.0, 0.1) == pytest.approx(1.0, abs=1e-12)
-        assert conditional_cdf_euler(BS07, -1e9, 100.0, 0.1) == pytest.approx(0.0, abs=1e-12)
+        assert euler_cdf(BS07, 1e9, 100.0, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert euler_cdf(BS07, -1e9, 100.0, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_value_at_spot(self):
-        assert conditional_cdf_euler(BS07, 100.0, 100.0, 0.1) == pytest.approx(
+        assert euler_cdf(BS07, 100.0, 100.0, 0.1) == pytest.approx(
             EULER_CDF_AT_SPOT, abs=1e-9
         )
 
     def test_degenerate_diffusion(self):
         flat = BlackScholes(r=0.15, sigma=0.0, x0=100.0)
         mean = 100.0 + 15.0 * 0.1
-        assert conditional_cdf_euler(flat, mean - 1e-9, 100.0, 0.1) == 0.0
-        assert conditional_cdf_euler(flat, mean + 1e-9, 100.0, 0.1) == 1.0
+        assert euler_cdf(flat, mean - 1e-9, 100.0, 0.1) == 0.0
+        assert euler_cdf(flat, mean + 1e-9, 100.0, 0.1) == 1.0
 
     def test_works_for_pcev(self):
-        v = conditional_cdf_euler(PCEV07, 100.0, 100.0, 0.05)
+        v = euler_cdf(PCEV07, 100.0, 100.0, 0.05)
         assert 0.0 < float(v) < 1.0
 
 
 class TestCdfShapeAndAgreement:
     def test_monotone_and_bounded(self):
         z = np.linspace(50.0, 180.0, 400)
-        for cdf in (conditional_cdf_exact, conditional_cdf_euler):
+        for cdf in (exact_cdf, euler_cdf):
             vals = cdf(BS07, z, 100.0, 0.1)
             assert np.all(np.diff(vals) >= -1e-15)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -151,12 +161,50 @@ class TestCdfShapeAndAgreement:
         def gap(dt):
             return np.max(
                 np.abs(
-                    conditional_cdf_exact(BS07, z, 100.0, dt) - conditional_cdf_euler(BS07, z, 100.0, dt)
+                    exact_cdf(BS07, z, 100.0, dt) - euler_cdf(BS07, z, 100.0, dt)
                 )
             )
 
         g1, g2 = gap(0.1), gap(0.05)
         assert g2 < 0.75 * g1
+
+
+LAWS = [(BS07, "exact"), (BS07, "euler"), (PCEV07, "euler")]
+
+
+class TestOneStepLaw:
+    @pytest.mark.parametrize("model,mode", LAWS, ids=["bs-exact", "bs-euler", "pcev-euler"])
+    def test_quantile_round_trip(self, model, mode):
+        scores = np.linspace(-8.0, 8.0, 33)
+        law = one_step_law(model, [50.0, 100.0, 180.0], 0.05, mode)
+        cuts = law.quantile(scores[:, None])
+        for i in range(3):
+            assert np.max(np.abs(law.cdf(cuts[:, i], slice(i, i + 1))[0] - ndtr(scores))) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["exact", "euler"])
+    def test_quantile_of_a_point_law_is_its_point(self, mode):
+        """A sigma = 0 source: every score cuts at the point, where the CDF steps from 0 to 1."""
+        scores = np.linspace(-8.0, 8.0, 33)
+        law = one_step_law(BlackScholes(0.15, 0.0, 100.0), [50.0, 100.0, 180.0], 0.05, mode)
+        cuts = law.quantile(scores[:, None])
+        for i in range(3):
+            assert np.all(cuts[:, i] == cuts[0, i])
+            assert law.cdf(cuts[:, i], slice(i, i + 1)).tolist() == [[1.0] * 33]
+            assert law.cdf(np.nextafter(cuts[0, i], 0.0), slice(i, i + 1)).tolist() == [[0.0]]
+
+    def test_cdf_arguments_round_as_the_closed_forms(self):
+        x, z, dt = np.array([90.0, 100.0, 111.0]), np.linspace(80.0, 125.0, 91), 0.05
+        exact = ndtr(((np.log(z) - np.log(x)[:, None]) - (0.15 - 0.5 * 0.07**2) * dt) / (0.07 * math.sqrt(dt)))
+        assert np.array_equal(one_step_law(BS07, x, dt, "exact").cdf(z), exact)
+        for model in (BS07, PCEV07):
+            mean, sd = x + model.drift(x) * dt, model.diffusion(x) * math.sqrt(dt)
+            euler = ndtr((z - mean[:, None]) / sd[:, None])
+            assert np.array_equal(one_step_law(model, x, dt, "euler").cdf(z), euler)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_rejects_nonpositive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            one_step_law(BS07, 100.0, dt)
 
 
 class TestConfigBlocks:

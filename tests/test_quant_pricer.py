@@ -6,12 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import fqbarrier.transitions as transitions
 from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
-from fqbarrier.models import BlackScholes
+from fqbarrier.models import BlackScholes, OneStepLaw
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import (
     _BAND_ROWS,
@@ -428,21 +427,21 @@ def test_step_one_evaluates_the_single_point_x0(monkeypatch):
     most ``_BAND_ROWS`` rows.
     """
     sources = []
-    original = transitions.conditional_cdf_exact
+    original = OneStepLaw.cdf
 
-    def recorder(model, z, x, dt, out=None):
-        sources.append(np.ravel(x).copy())
-        return original(model, z, x, dt, out=out)
+    def recorder(law, z, rows=slice(None), out=None):
+        sources.append(law.origin[rows].copy())  # log x under the exact law
+        return original(law, z, rows, out=out)
 
-    monkeypatch.setattr(transitions, "conditional_cdf_exact", recorder)
+    monkeypatch.setattr(OneStepLaw, "cdf", recorder)
     contract = uoc(115.0)
     price_barrier_quant(BS07, contract, 5, budget=200)
     grid = quantize_price_process(BS07, brownian_product_quantizer(200, 1.0), 5)
-    assert sources[0].tolist() == [BS07.x0]
+    assert sources[0].tolist() == [math.log(BS07.x0)]
     expected = [grid.grids[k][slice(*_live_range(grid.grids[k], contract))] for k in range(1, 5)]
     later = sources[1:]
     assert all(0 < x.size <= _BAND_ROWS for x in later)
-    assert np.array_equal(np.concatenate(later), np.concatenate(expected))
+    assert np.array_equal(np.concatenate(later), np.log(np.concatenate(expected)))
 
 
 class TestEndToEnd:

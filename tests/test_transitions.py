@@ -1,9 +1,14 @@
+import csv
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fqbarrier.models import BlackScholes, conditional_cdf_euler, conditional_cdf_exact
+from fqbarrier.models import BlackScholes, one_step_law
+from fqbarrier.brownian import brownian_product_quantizer
+from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import forward_induction
 from scipy.special import ndtr
 
@@ -14,7 +19,9 @@ from fqbarrier.transitions import (
     dump_transitions,
     mass_cells,
     transition_block,
+    transition_matrices,
     transition_matrix,
+    transition_steps,
 )
 from tests.conftest import BS07, PCEV07
 
@@ -26,46 +33,47 @@ EULER_ROW = [0.249002865868, 0.750997134132]
 # a volatile model whose one-step Euler law puts 7.5% of its mass below 0
 WILD = BlackScholes(r=0.15, sigma=0.8, x0=100.0)
 SOURCES = np.array([20.0, 100.0])
+WILD_LAW = one_step_law(WILD, SOURCES, 1.0, "euler")
 
 
 def _euler_cdf(z):
     """Euler CDF at the scalar ``z`` from each of SOURCES over one unit step."""
-    return conditional_cdf_euler(WILD, z, SOURCES, 1.0)
+    return WILD_LAW.cdf(z)[:, 0]
 
 
 class TestCellBoundaries:
     """Cell edges as ``transition_block`` applies them: midpoints inside, the outer cells unbounded."""
 
     def test_single_point(self):
-        block = transition_block(WILD, SOURCES, [100.0], 0, 1, 1.0, cdf_mode="euler")
+        block = transition_block(WILD_LAW, [100.0], 0, 1)
         assert block.tolist() == [[1.0], [1.0]]
 
     def test_two_points(self):
         # the bottom cell takes the mass below 0 too: its edge is -inf, not 0
         assert np.all(_euler_cdf(0.0) > 0.0)
-        block = transition_block(WILD, SOURCES, [90.0, 110.0], 0, 2, 1.0, cdf_mode="euler")
+        block = transition_block(WILD_LAW, [90.0, 110.0], 0, 2)
         assert np.array_equal(block[:, 0], _euler_cdf(100.0))
         assert np.array_equal(block[:, 1], 1.0 - _euler_cdf(100.0))
 
     def test_three_points(self):
         grid = [80.0, 100.0, 120.0]
-        block = transition_block(WILD, SOURCES, grid, 0, 3, 1.0, cdf_mode="euler")
+        block = transition_block(WILD_LAW, grid, 0, 3)
         assert np.array_equal(block[:, 0], _euler_cdf(90.0))
         assert np.array_equal(block[:, 1], _euler_cdf(110.0) - _euler_cdf(90.0))
         assert np.array_equal(block[:, 2], 1.0 - _euler_cdf(110.0))
         for lo in range(3):
-            edge = transition_block(WILD, SOURCES, grid, lo, lo + 1, 1.0, cdf_mode="euler")
+            edge = transition_block(WILD_LAW, grid, lo, lo + 1)
             assert np.array_equal(edge[:, 0], block[:, lo])
 
     def test_ties_give_zero_width_cells(self):
-        block = transition_block(WILD, SOURCES, [100.0, 100.0, 100.0], 0, 3, 1.0, cdf_mode="euler")
+        block = transition_block(WILD_LAW, [100.0, 100.0, 100.0], 0, 3)
         assert np.array_equal(block[:, 0], _euler_cdf(100.0))
         assert block[:, 1].tolist() == [0.0, 0.0]
         assert np.array_equal(block[:, 2], 1.0 - _euler_cdf(100.0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            transition_block(WILD, SOURCES, [], 0, 0, 1.0, cdf_mode="euler")
+            transition_block(WILD_LAW, [], 0, 0)
 
 
 class TestTransitionMatrix:
@@ -93,7 +101,7 @@ class TestTransitionMatrix:
         for k in (1, 5, 10):
             gp, gn = grid.grids[k - 1], grid.grids[k]
             inner = 0.5 * (gn[:-1] + gn[1:])
-            cum = conditional_cdf_exact(BS07, inner[None, :], gp[:, None], dt)
+            cum = one_step_law(BS07, gp, dt, "exact").cdf(inner)
             raw = np.diff(np.concatenate([np.zeros((966, 1)), cum, np.ones((966, 1))], axis=1), axis=1)
             assert np.max(np.abs(raw.sum(axis=1) - 1.0)) < 1e-6
 
@@ -108,8 +116,12 @@ class TestTransitionMatrix:
             transition_matrix(PCEV07, [100.0], [90.0, 110.0], 0.1, cdf_mode="exact")
 
     def test_euler_mode_default_for_pcev(self, quant_pipeline):
-        _, mats = quant_pipeline(PCEV07, 10)
+        grid, mats = quant_pipeline(PCEV07, 10)
         assert np.max(np.abs(mats[0].entries.sum(axis=1) - 1.0)) < 1e-10
+        gp, gn = grid.grids[4], grid.grids[5]
+        default = transition_matrix(PCEV07, gp, gn, 0.1).entries
+        assert np.array_equal(default, transition_matrix(PCEV07, gp, gn, 0.1, "euler").entries)
+        assert np.array_equal(default, mats[4].entries)
 
     def test_rectangular_grids_supported(self):
         tm = transition_matrix(BS07, [100.0, 101.0], [90.0, 100.0, 110.0], 0.1)
@@ -129,12 +141,14 @@ class TestTransitionBlock:
         grid, mats = quant_pipeline(model, 10)
         gp, gn = grid.grids[4], grid.grids[5]
         d = gn.size
+        law = one_step_law(model, gp, 0.1)
         for lo, hi in ((0, d), (0, 1), (0, 400), (300, d), (d - 1, d), (200, 700), (0, 0), (d, d)):
-            block = transition_block(model, gp[10:20], gn, lo, hi, 0.1)
+            block = transition_block(one_step_law(model, gp[10:20], 0.1), gn, lo, hi)
             assert np.array_equal(block, mats[4].entries[10:20, lo:hi]), (lo, hi)
+            assert np.array_equal(transition_block(law, gn, lo, hi, slice(10, 20)), block), (lo, hi)
 
     def test_single_source_point_is_one_row(self):
-        block = transition_block(BS07, [100.0], [90.0, 100.0, 110.0], 1, 3, 0.1)
+        block = transition_block(one_step_law(BS07, [100.0], 0.1), [90.0, 100.0, 110.0], 1, 3)
         full = transition_matrix(BS07, [100.0], [90.0, 100.0, 110.0], 0.1).entries
         assert block.shape == (1, 2)
         assert np.array_equal(block, full[:, 1:])
@@ -142,7 +156,7 @@ class TestTransitionBlock:
     def test_rejects_bad_range(self):
         for lo, hi in ((-1, 1), (2, 1), (0, 3)):
             with pytest.raises(ValueError):
-                transition_block(BS07, [100.0], [90.0, 110.0], lo, hi, 0.1)
+                transition_block(one_step_law(BS07, [100.0], 0.1), [90.0, 110.0], lo, hi)
 
 
 class TestMassCells:
@@ -166,7 +180,7 @@ class TestMassCells:
         for k in (1, n_steps // 2, n_steps):
             gp, gn = grid.grids[k - 1], grid.grids[k]
             p = transition_matrix(model, gp, gn, dt, cdf_mode).entries
-            lo, hi = mass_cells(model, gp, gn, dt, cdf_mode)
+            lo, hi = mass_cells(one_step_law(model, gp, dt, cdf_mode), gn)
             cols = np.arange(gn.size)
             assert np.all(p[cols >= hi[:, None]] == 0.0)
             assert np.all(np.where(cols < lo[:, None], p, 0.0).sum(axis=1) <= 1.2e-19)
@@ -178,7 +192,7 @@ class TestMassCells:
         frozen = BlackScholes(0.0, 0.0, 100.0)
         points = [90.0, 100.0, 110.0]  # x0 lies on no edge; 95 and 105 are edges
         for x, cell in ((94.0, 0), (95.0, 0), (95.5, 1), (105.0, 1), (106.0, 2)):
-            lo, hi = mass_cells(frozen, [x], points, 0.1)
+            lo, hi = mass_cells(one_step_law(frozen, [x], 0.1), points)
             assert (lo[0], hi[0]) == (cell, cell + 1), x
             assert transition_matrix(frozen, [x], points, 0.1).entries[0, cell] == 1.0
 
@@ -230,7 +244,34 @@ class TestDump:
     def test_csv_rows(self, tmp_path):
         tm = transition_matrix(BS07, [100.0], [90.0, 110.0], 0.1, step=1)
         out = tmp_path / "p.csv"
-        dump_transitions([tm], out)
+        dump_transitions([(tm.step, tm.entries)], out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,i,j,p"
         assert len(lines) == 3
+
+    def test_streamed_dump_matches_the_matrix_list(self, tmp_path):
+        """The dump of the step generator is byte for byte the CSV of every full matrix, in step order."""
+        grid = quantize_price_process(BS07, brownian_product_quantizer(60, 1.0), 3)
+        out = tmp_path / "p.csv"
+        dump_transitions(transition_steps(BS07, grid), out)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["k", "i", "j", "p"])
+        for tm in transition_matrices(BS07, grid):
+            for i, row in enumerate(tm.entries):
+                writer.writerows([tm.step, i, j, f"{v:.17g}"] for j, v in enumerate(row))
+        assert out.read_bytes() == expected.getvalue().encode()
+
+    def test_streamed_dump_memory_does_not_grow_with_steps(self, tmp_path):
+        quantizer = brownian_product_quantizer(60, 1.0)
+        peaks = {}
+        for n in (2, 8):
+            grid = quantize_price_process(PCEV07, quantizer, n)
+            tracemalloc.start()
+            try:
+                dump_transitions(transition_steps(PCEV07, grid), tmp_path / f"p{n}.csv")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        d = quantizer.n_paths
+        assert peaks[8] <= peaks[2] + 8 * d * d
