@@ -49,17 +49,20 @@ class BridgeParams:
             raise ValueError("sigma_x must be nonnegative")
 
 
-def no_crossing(x, y, u, p: BridgeParams):
+def no_crossing(x, y, u, p: BridgeParams, out=None):
     """1 - exp(min(e, 0)) with e = -2 n (x-u)(y-u) / (T sigma(x)^2).
 
     This is the probability that the bridge from x to y stays on the side
     of u where both of its ends lie; that they do is not checked.  It is the
     one evaluation of the formula: both CDFs and the pricer's kernel call it.
+    ``out``, of the broadcast shape, receives the result and every
+    intermediate of that shape.
     """
     sig2 = np.asarray(p.sigma_x, dtype=float) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ex = -2.0 * p.n_steps * (x - u) * (y - u) / (p.horizon * sig2)
-        return 1.0 - np.exp(np.minimum(ex, 0.0))
+        ex = np.multiply(-2.0 * p.n_steps * (x - u), np.subtract(y, u), out=out)
+        ex = np.divide(ex, p.horizon * sig2, out=out)
+        return np.subtract(1.0, np.exp(np.minimum(ex, 0.0, out=out), out=out), out=out)
 
 
 def bridge_max_cdf(x, y, u, p: BridgeParams):

@@ -26,20 +26,38 @@ cut, 9 standard deviations below, the law has at most ndtr(-9) =
 exactly 1.0 wherever its exponent is at most -54 ln 2, so each block
 evaluates it only on the part of its band nearer the barrier.  The
 block's mass is then pushed into the band of the next date's measure.  A
-call holds two 32-row work arrays and a few d_N-vectors, so memory grows
-neither with the step count nor with d_N^2.
+call holds two 32-row work arrays per share (below) and a few
+d_N-vectors, so memory grows neither with the step count nor with d_N^2.
 The prices agree with the full-matrix chain e0 H_1 ... H_n within about
 5e-15 relative (the order of the blockwise sums; the tests bound it by
 1e-13), and a chain that prices exactly 0 still does.
+
+When the process may run on two or more cores, a step with at least two
+blocks splits them into two shares of about equal CDF cost, the sum of
+their band widths.  The calling thread prices the first share and adds
+each block's mass into the next date's measure at once; one pool worker
+prices the second share, with its own two work arrays, and hands back
+each block's mass, which the calling thread adds after its own in block
+order.  Every entry of the measure is thus summed in the same order as on
+one core, and the prices are the same bit for bit.  The worker is made on
+the first call that uses it, and a forked child makes its own.
+
+``price_barrier_quant`` keeps the grids of its last few (model, budget,
+maturity, n_steps, substeps) settings; ``price_barrier_quant.cache_clear()``
+drops them.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf, no_crossing
+from .bridge import BridgeParams, no_crossing
+from .bridge import bridge_max_cdf, bridge_min_cdf  # noqa: F401  the benchmark tracer wraps these attributes
 from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult
 from .models import Model, one_step_law
@@ -61,6 +79,25 @@ __all__ = [
 # the approximate row slope below cannot move an entry across it
 _EXACT_ONE = -38.0
 _BAND_ROWS = 32  # source rows that share one band of columns
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=1)
+def _worker() -> ThreadPoolExecutor:
+    """The one thread that prices a step's second share of row blocks."""
+    return ThreadPoolExecutor(1, thread_name_prefix="fqbarrier-step")
+
+
+# a forked child has no worker thread, only the parent's pool object
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 class _Survival:
@@ -85,8 +122,12 @@ class _Survival:
         reach[self.degenerate] = np.inf  # sigma = 0 rows keep the CDFs' degenerate values over the whole row
         self.edge = np.searchsorted(y - L, -reach, "right") if self.up else np.searchsorted(y - L, reach, "left")
 
-    def damp(self, block: np.ndarray, rows: slice, cols: slice) -> None:
-        """Multiply ``block``, the entries of rows ``rows`` and columns ``cols``, by the factor in place."""
+    def damp(self, block: np.ndarray, rows: slice, cols: slice, spare: np.ndarray | None = None) -> None:
+        """Multiply ``block``, the entries of rows ``rows`` and columns ``cols``, by the factor in place.
+
+        ``spare``, a flat array of at least ``block.size`` entries, holds the
+        factors; by default they go to a new array.
+        """
         edge = self.edge[rows]
         if self.up:
             a, z = max(int(edge.min()), cols.start), cols.stop
@@ -95,17 +136,19 @@ class _Survival:
         if a >= z:
             return
         xs, ys, sigma = self.x[rows, None], self.y[a:z], self.sigma[rows, None]
+        out = None if spare is None else spare[: xs.size * ys.size].reshape(xs.size, ys.size)
         # bridge_max_cdf on live points, and 1 - bridge_min_cdf too: for
         # b = fl(1 - exp(e)), 1 - (1 - b) == b by Sterbenz's lemma
-        survival = no_crossing(xs, ys, self.L, BridgeParams(self.n_steps, self.horizon, sigma))
+        survival = no_crossing(xs, ys, self.L, BridgeParams(self.n_steps, self.horizon, sigma), out=out)
         still = self.degenerate[rows]
         if still.any():
-            zero = BridgeParams(self.n_steps, self.horizon, 0.0)
-            survival[still] = (
-                bridge_max_cdf(xs[still], ys, self.L, zero)
-                if self.up
-                else 1.0 - bridge_min_cdf(xs[still], ys, self.L, zero)
-            )
+            # at sigma = 0 the bridge is frozen at its ends: bridge_max_cdf
+            # is 1 where both ends are at most L, and 1 - bridge_min_cdf is 1
+            # where both exceed L
+            if self.up:
+                survival[still] = np.maximum(xs[still], ys) <= self.L
+            else:
+                survival[still] = np.minimum(xs[still], ys) > self.L
         band = block[:, a - cols.start : z - cols.start]
         np.multiply(band, survival, out=band)
 
@@ -242,18 +285,21 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
     blocks of ``_BAND_ROWS``, with one one-step law for all of them.  Each
     block evaluates the law's CDF only on its band, the live cells between
     the lowest and the highest of its rows' ``mass_cells``, damps it by
-    the survival factor and pushes its mass into the band.  The band's first cell absorbs the tail below the lower
-    cut, so the rows keep their sums.
+    the survival factor and pushes its mass into the band.  The band's
+    first cell absorbs the tail below the lower cut, so the rows keep their
+    sums.  On two or more cores the blocks go to two shares
+    (``_push_in_two_shares``).
     """
     grids, n = grid.grids, grid.n_steps
     live = [_live_cells(points, contract) for points in grids]
     if any(lo >= hi for lo, hi in live):
         return None, None
     dt = grid.horizon / n
-    # one CDF work array and one block array serve every block of every
-    # step; each block's arrays are contiguous views at their start
+    # each share owns one CDF work array and one block array, which serve
+    # every block of every step; each block's arrays are contiguous views
+    # at their start
     d = grids.shape[1]
-    work, kernel = np.empty(_BAND_ROWS * (d + 1)), np.empty(_BAND_ROWS * d)
+    shares = [(np.empty(_BAND_ROWS * (d + 1)), np.empty(_BAND_ROWS * d)) for _ in range(min(_cores(), 2))]
     src, pi = grids[0][:1], np.ones(1)  # date 0 is d_N copies of x0
     for k in range(1, n + 1):
         lo, hi = live[k]
@@ -262,27 +308,68 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
         cells = np.clip(mass_cells(law, gn), lo, hi)
         starts = np.arange(0, src.size, _BAND_ROWS)
         bands = zip(starts, np.minimum.reduceat(cells[0], starts), np.maximum.reduceat(cells[1], starts))
+        blocks = [(i, a, z) for i, a, z in bands if a < z]
         survival = _Survival(src, gn[lo:hi], np.asarray(model.diffusion(src)), contract, n, grid.horizon)
+        step = (law, gn, lo, hi, survival, pi)
         nxt = np.zeros(hi - lo)
-        for i, a, z in bands:
-            if a >= z:
-                continue
-            rows = slice(i, min(i + _BAND_ROWS, src.size))
-            m = rows.stop - rows.start
-            # with cells below the band still live, the band's first cell
-            # takes the tail: transition_block sees it as the grid's bottom
-            bottom = a if a > lo else 0
-            while True:
-                cum = work[: m * (z - a + 1)].reshape(m, z - a + 1)
-                p = kernel[: m * (z - a)].reshape(m, z - a)
-                transition_block(law, gn[bottom:], a - bottom, z - bottom, rows, out=p, work=cum)
-                if z == hi or (cum[:, -1] == 1.0).all():
-                    break
-                z = hi  # a spread too small for the cut's margin: take the rest of the live cells
-            survival.damp(p, rows, slice(a - lo, z - lo))
-            nxt[a - lo : z - lo] += pi[rows] @ p
+        if len(shares) == 2 and len(blocks) >= 2:
+            _push_in_two_shares(step, blocks, shares, nxt)
+        else:
+            _push_blocks(step, blocks, shares[0], nxt)
         src, pi = gn[lo:hi], nxt
     return pi, src
+
+
+def _push_in_two_shares(step, blocks, shares, nxt) -> None:
+    """Push the blocks in two shares of about equal CDF cost: the first here, the second on the worker.
+
+    The worker's masses are added after this thread's, in block order, so
+    each entry of ``nxt`` is summed in the order ``_push_blocks`` sums it.
+    """
+    cost = np.cumsum([z - a for _, a, z in blocks])
+    cut = min(int(np.searchsorted(cost, 0.5 * cost[-1])) + 1, len(blocks) - 1)
+    held = _worker().submit(_push_blocks, step, blocks[cut:], shares[1])
+    try:
+        _push_blocks(step, blocks[:cut], shares[0], nxt)
+    finally:
+        masses = held.result()  # the worker is done with its arrays even if this thread raised
+    for cols, mass in masses:
+        nxt[cols] += mass
+
+
+def _push_blocks(step, blocks, arrays, nxt=None):
+    """Price the row blocks ``blocks``, triples (first row, band start, band stop), of one step.
+
+    ``step`` is (law, next grid, live range lo, hi, survival, measure) and
+    ``arrays`` the share's CDF work and block arrays.  With ``nxt`` each
+    block's mass ``pi[rows] @ p`` is added into its band of ``nxt``;
+    without, the blocks' (band, mass) pairs are returned in block order.
+    This may run on the pool worker, so it calls no module attribute that
+    the benchmark tracer wraps.
+    """
+    law, gn, lo, hi, survival, pi = step
+    work, kernel = arrays
+    masses = []
+    for i, a, z in blocks:
+        rows = slice(i, min(i + _BAND_ROWS, pi.size))
+        m = rows.stop - rows.start
+        # with cells below the band still live, the band's first cell
+        # takes the tail: transition_block sees it as the grid's bottom
+        bottom = a if a > lo else 0
+        while True:
+            cum = work[: m * (z - a + 1)].reshape(m, z - a + 1)
+            p = kernel[: m * (z - a)].reshape(m, z - a)
+            transition_block(law, gn[bottom:], a - bottom, z - bottom, rows, out=p, work=cum)
+            if z == hi or (cum[:, -1] == 1.0).all():
+                break
+            z = hi  # a spread too small for the cut's margin: take the rest of the live cells
+        cols = slice(a - lo, z - lo)
+        survival.damp(p, rows, cols, spare=work)  # the CDF is spent
+        if nxt is None:
+            masses.append((cols, pi[rows] @ p))
+        else:
+            nxt[cols] += pi[rows] @ p
+    return masses
 
 
 def price_barrier_quant(
@@ -296,11 +383,21 @@ def price_barrier_quant(
     """End-to-end quantization price: build paths and grids, then induct.
 
     ``cdf_mode=None`` picks the exact conditional law when the model has
-    one and the Euler proxy otherwise.
+    one and the Euler proxy otherwise.  The grid is built once per (model,
+    budget, maturity, n_steps, substeps) and kept for the next calls with
+    those settings; ``price_barrier_quant.cache_clear()`` drops the kept grids.
     """
     start = time.perf_counter()
-    quantizer = brownian_product_quantizer(budget, contract.maturity)
-    grid = quantize_price_process(model, quantizer, n_steps, substeps)
+    grid = _price_grid(model, budget, contract.maturity, n_steps, substeps)
     result = price_barrier(model, contract, grid, cdf_mode)
     result.elapsed = time.perf_counter() - start
     return result
+
+
+@functools.lru_cache(maxsize=8)
+def _price_grid(model: Model, budget: int, maturity: float, n_steps: int, substeps: int) -> QuantizedPriceGrid:
+    """The price grid of ``price_barrier_quant``, built once per setting; its arrays are read-only."""
+    return quantize_price_process(model, brownian_product_quantizer(budget, maturity), n_steps, substeps)
+
+
+price_barrier_quant.cache_clear = _price_grid.cache_clear

@@ -24,7 +24,6 @@ ndtr(-9) = 1.1e-19 below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +142,13 @@ def transition_matrices(model: Model, grid: QuantizedPriceGrid, cdf_mode: str | 
 
 
 def dump_transitions(steps, path) -> None:
-    """CSV dump with columns (k, i, j, p) of the (step, matrix) pairs ``steps``, which may be a generator."""
+    """CSV dump with columns (k, i, j, p) of the (step, matrix) pairs ``steps``, which may be a generator.
+
+    One line per entry, ended by ``\\r\\n`` as ``csv.writer`` ends its rows;
+    no field needs quoting.  Each matrix row is written with one join.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "i", "j", "p"])
+        fh.write("k,i,j,p\r\n")
         for k, entries in steps:
             for i, row in enumerate(entries):
-                for j, v in enumerate(row):
-                    writer.writerow([k, i, j, f"{v:.17g}"])
+                fh.write("".join([f"{k},{i},{j},{v:.17g}\r\n" for j, v in enumerate(row.tolist())]))

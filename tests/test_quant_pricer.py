@@ -1,16 +1,19 @@
 import dataclasses
 import functools
 import math
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fqbarrier.quant_pricer as quant_pricer
 from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
-from fqbarrier.models import BlackScholes, OneStepLaw
+from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import (
     _BAND_ROWS,
@@ -21,6 +24,7 @@ from fqbarrier.quant_pricer import (
     prune_knocked_rows,
     quantized_kernel,
 )
+from fqbarrier.tables import TABLE_SPECS
 from fqbarrier.transitions import transition_matrices, transition_matrix
 from tests.conftest import BS07, PCEV07
 
@@ -424,8 +428,9 @@ def test_step_one_evaluates_the_single_point_x0(monkeypatch):
     """Date 0 is d_N copies of x0, so step 1 needs one source row, not d_N.
 
     Each later step evaluates its live source points once, in blocks of at
-    most ``_BAND_ROWS`` rows.
+    most ``_BAND_ROWS`` rows, in order on one core.
     """
+    monkeypatch.setattr(quant_pricer, "_cores", lambda: 1)
     sources = []
     original = OneStepLaw.cdf
 
@@ -442,6 +447,153 @@ def test_step_one_evaluates_the_single_point_x0(monkeypatch):
     later = sources[1:]
     assert all(0 < x.size <= _BAND_ROWS for x in later)
     assert np.array_equal(np.concatenate(later), np.log(np.concatenate(expected)))
+
+
+def test_two_shares_evaluate_every_live_source_once(monkeypatch):
+    """With the pool, each step still evaluates each of its live source points exactly once.
+
+    The two shares run concurrently, so the blocks arrive in no fixed order;
+    they are put back in row order per step (one law per step).
+    """
+    monkeypatch.setattr(quant_pricer, "_cores", lambda: 2)
+    calls = []
+    original = OneStepLaw.cdf
+
+    def recorder(law, z, rows=slice(None), out=None):
+        calls.append((law, rows, threading.current_thread()))
+        return original(law, z, rows, out=out)
+
+    monkeypatch.setattr(OneStepLaw, "cdf", recorder)
+    contract = uoc(115.0)
+    price_barrier_quant(BS07, contract, 5, budget=200)
+    grid = quantize_price_process(BS07, brownian_product_quantizer(200, 1.0), 5)
+    by_law = {}  # the recorded laws stay alive, so their ids are distinct
+    for law, rows, _ in calls:
+        by_law.setdefault(id(law), (law, []))[1].append(rows)
+    steps = list(by_law.values())
+    assert len(steps) == 5
+    assert [r.start for r in steps[0][1]] == [0] and steps[0][0].origin.tolist() == [math.log(BS07.x0)]
+    for k, (law, rows) in enumerate(steps[1:], start=1):
+        rows = sorted(rows, key=lambda r: r.start)
+        assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
+        assert all(0 < r.stop - r.start <= _BAND_ROWS for r in rows)
+        expected = grid.grids[k][slice(*_live_range(grid.grids[k], contract))]
+        assert rows[-1].stop == expected.size == law.origin.size
+        assert np.array_equal(law.origin, np.log(expected))
+    assert len({thread for _, _, thread in calls}) == 2  # the worker priced some blocks
+
+
+CORE_MODELS = {
+    "bs0.07": BlackScholes(r=0.15, sigma=0.07, x0=100.0),
+    "bs0.3": BlackScholes(r=0.15, sigma=0.3, x0=100.0),
+    "bs0": BlackScholes(r=0.15, sigma=0.0, x0=100.0),
+    "bs1e-9": BlackScholes(r=0.15, sigma=1e-9, x0=100.0),
+    "pcev0.7": PseudoCEV(r=0.15, vartheta=0.7, delta=0.5, x0=100.0),
+}
+
+
+def _prices_on_cores(monkeypatch, cores, price):
+    monkeypatch.setattr(quant_pricer, "_cores", lambda: cores)
+    return [p.hex() for p in price()]
+
+
+@pytest.mark.parametrize("n_steps", [3, 20, 80])
+@pytest.mark.parametrize("name", CORE_MODELS)
+def test_prices_are_identical_on_one_and_two_cores(monkeypatch, name, n_steps):
+    model = CORE_MODELS[name]
+    grid = quantize_price_process(model, brownian_product_quantizer(300, 1.0), n_steps)
+    contracts = [
+        BarrierContract(barrier_type, payoff_type, 100.0, barrier, 1.0)
+        for barrier_type, barrier in ((BarrierType.UP_AND_OUT, 120.0), (BarrierType.DOWN_AND_OUT, 90.0))
+        for payoff_type in (PayoffType.CALL, PayoffType.PUT)
+    ]
+
+    def price():
+        return [price_barrier(model, contract, grid).price for contract in contracts]
+
+    pooled = _prices_on_cores(monkeypatch, 2, price)
+    assert pooled == _prices_on_cores(monkeypatch, 1, price)
+    # both calls survive, even on the frozen path 100 e^(0.15 t) < 120
+    assert float.fromhex(pooled[0]) > 0.0 and float.fromhex(pooled[2]) > 0.0
+
+
+@pytest.mark.parametrize("table_id", sorted(TABLE_SPECS))
+def test_table_prices_are_identical_on_one_and_two_cores(monkeypatch, table_id):
+    spec = TABLE_SPECS[table_id]
+    grid = quantize_price_process(spec.model, brownian_product_quantizer(1000, 1.0), spec.n_steps)
+
+    def price():
+        return [price_barrier(spec.model, uoc(level), grid).price for level in spec.levels]
+
+    assert _prices_on_cores(monkeypatch, 2, price) == _prices_on_cores(monkeypatch, 1, price)
+
+
+class TestGridReuse:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The settings of every grid ``price_barrier_quant`` builds, from an empty cache."""
+        seen = []
+        original = quant_pricer.quantize_price_process
+
+        def counting(model, quantizer, n_steps, substeps=4):
+            seen.append((model, quantizer.n_paths, quantizer.horizon, n_steps, substeps))
+            return original(model, quantizer, n_steps, substeps)
+
+        monkeypatch.setattr(quant_pricer, "quantize_price_process", counting)
+        price_barrier_quant.cache_clear()
+        yield seen
+        price_barrier_quant.cache_clear()
+
+    def test_second_identical_call_builds_no_grid(self, builds):
+        first = price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
+        second = price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
+        assert len(builds) == 1 and first.price.hex() == second.price.hex()
+        price_barrier_quant(BS07, doc(90.0), 5, budget=200)  # another contract on the same grid
+        assert len(builds) == 1
+
+    def test_calls_that_differ_in_a_setting_share_no_grid(self, builds):
+        base = dict(model=BS07, contract=uoc(115.0), n_steps=5, budget=200, substeps=4)
+        variants = [
+            {},
+            {"model": BlackScholes(r=0.15, sigma=0.1, x0=100.0)},
+            {"budget": 60},
+            {"contract": BarrierContract(BarrierType.UP_AND_OUT, PayoffType.CALL, 100.0, 115.0, 2.0)},
+            {"n_steps": 6},
+            {"substeps": 2},
+        ]
+        for change in variants:
+            price_barrier_quant(**(base | change))
+        assert len(builds) == len(variants) == len(set(builds))
+        for change in variants:  # every setting is still held
+            price_barrier_quant(**(base | change))
+        assert len(builds) == len(variants)
+
+
+def _price_in_child(conn):
+    conn.send(price_barrier_quant(BS07, uoc(115.0), 5, budget=200).price.hex())
+    conn.close()
+
+
+def test_forked_child_prices_after_the_parent_used_the_pool(monkeypatch):
+    """A forked child has no worker thread; it must make its own pool, not wait on the parent's."""
+    monkeypatch.setattr(quant_pricer, "_cores", lambda: 2)
+    expected = price_barrier_quant(BS07, uoc(115.0), 5, budget=200).price.hex()
+    assert quant_pricer._worker.cache_info().currsize == 1
+    price_barrier_quant.cache_clear()  # so the child builds its own grid too
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_price_in_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child did not price within 60 s"
+        assert receive.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert child.exitcode == 0
 
 
 class TestEndToEnd:
