@@ -32,19 +32,18 @@ The prices agree with the full-matrix chain e0 H_1 ... H_n within about
 5e-15 relative (the order of the blockwise sums; the tests bound it by
 1e-13), and a chain that prices exactly 0 still does.
 
-When the process may run on two or more cores, a step with at least two
-blocks splits them into two shares of about equal CDF cost, the sum of
-their band widths.  The calling thread prices the first share and adds
-each block's mass into the next date's measure at once; one pool worker
-prices the second share, with its own two work arrays, and hands back
-each block's mass, which the calling thread adds after its own in block
-order.  Every entry of the measure is thus summed in the same order as on
-one core, and the prices are the same bit for bit.  The worker is made on
-the first call that uses it, and a forked child makes its own.
-
-``price_barrier_quant`` keeps the grids of its last few (model, budget,
-maturity, n_steps, substeps) settings; ``price_barrier_quant.cache_clear()``
-drops them.
+When the process may run on two or more cores, a step with at least
+``_SPLIT_BLOCKS`` blocks splits them into two shares of about equal CDF
+cost, the sum of their band widths.  The calling thread prices the first
+share and adds each block's mass into the next date's measure at once;
+one pool worker prices the second share, with its own two work arrays,
+and hands back each block's mass, which the calling thread adds after its
+own in block order.  Every entry of the measure is thus summed in the
+same order as on one core, and the prices are the same bit for bit.  The
+worker is made on the first call that uses it, and a forked child makes
+its own.  Below 16 blocks (512 live source points) the handoff costs more
+than the second core saves: on 2 cores, budgets 60-500 priced up to 30%
+slower split and budgets 700-1000 20-45% faster.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import bridge
 from .bridge import BridgeParams, no_crossing
 from .bridge import bridge_max_cdf, bridge_min_cdf  # noqa: F401  the benchmark tracer wraps these attributes
 from .brownian import brownian_product_quantizer
@@ -79,6 +79,7 @@ __all__ = [
 # the approximate row slope below cannot move an entry across it
 _EXACT_ONE = -38.0
 _BAND_ROWS = 32  # source rows that share one band of columns
+_SPLIT_BLOCKS = 16  # a step with fewer blocks runs on one thread
 
 
 def _cores() -> int:
@@ -142,13 +143,14 @@ class _Survival:
         survival = no_crossing(xs, ys, self.L, BridgeParams(self.n_steps, self.horizon, sigma), out=out)
         still = self.degenerate[rows]
         if still.any():
-            # at sigma = 0 the bridge is frozen at its ends: bridge_max_cdf
-            # is 1 where both ends are at most L, and 1 - bridge_min_cdf is 1
-            # where both exceed L
-            if self.up:
-                survival[still] = np.maximum(xs[still], ys) <= self.L
-            else:
-                survival[still] = np.minimum(xs[still], ys) > self.L
+            # through the bridge module: damp may run on the pool worker, and
+            # the benchmark tracer wraps this module's attributes of these names
+            zero = BridgeParams(self.n_steps, self.horizon, 0.0)
+            survival[still] = (
+                bridge.bridge_max_cdf(xs[still], ys, self.L, zero)
+                if self.up
+                else 1.0 - bridge.bridge_min_cdf(xs[still], ys, self.L, zero)
+            )
         band = block[:, a - cols.start : z - cols.start]
         np.multiply(band, survival, out=band)
 
@@ -287,8 +289,8 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
     the lowest and the highest of its rows' ``mass_cells``, damps it by
     the survival factor and pushes its mass into the band.  The band's
     first cell absorbs the tail below the lower cut, so the rows keep their
-    sums.  On two or more cores the blocks go to two shares
-    (``_push_in_two_shares``).
+    sums.  On two or more cores the blocks of a step with at least
+    ``_SPLIT_BLOCKS`` of them go to two shares (``_push_in_two_shares``).
     """
     grids, n = grid.grids, grid.n_steps
     live = [_live_cells(points, contract) for points in grids]
@@ -312,7 +314,7 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
         survival = _Survival(src, gn[lo:hi], np.asarray(model.diffusion(src)), contract, n, grid.horizon)
         step = (law, gn, lo, hi, survival, pi)
         nxt = np.zeros(hi - lo)
-        if len(shares) == 2 and len(blocks) >= 2:
+        if len(shares) == 2 and len(blocks) >= _SPLIT_BLOCKS:
             _push_in_two_shares(step, blocks, shares, nxt)
         else:
             _push_blocks(step, blocks, shares[0], nxt)
@@ -383,21 +385,11 @@ def price_barrier_quant(
     """End-to-end quantization price: build paths and grids, then induct.
 
     ``cdf_mode=None`` picks the exact conditional law when the model has
-    one and the Euler proxy otherwise.  The grid is built once per (model,
-    budget, maturity, n_steps, substeps) and kept for the next calls with
-    those settings; ``price_barrier_quant.cache_clear()`` drops the kept grids.
+    one and the Euler proxy otherwise.
     """
     start = time.perf_counter()
-    grid = _price_grid(model, budget, contract.maturity, n_steps, substeps)
+    quantizer = brownian_product_quantizer(budget, contract.maturity)
+    grid = quantize_price_process(model, quantizer, n_steps, substeps)
     result = price_barrier(model, contract, grid, cdf_mode)
     result.elapsed = time.perf_counter() - start
     return result
-
-
-@functools.lru_cache(maxsize=8)
-def _price_grid(model: Model, budget: int, maturity: float, n_steps: int, substeps: int) -> QuantizedPriceGrid:
-    """The price grid of ``price_barrier_quant``, built once per setting; its arrays are read-only."""
-    return quantize_price_process(model, brownian_product_quantizer(budget, maturity), n_steps, substeps)
-
-
-price_barrier_quant.cache_clear = _price_grid.cache_clear

@@ -456,6 +456,7 @@ def test_two_shares_evaluate_every_live_source_once(monkeypatch):
     they are put back in row order per step (one law per step).
     """
     monkeypatch.setattr(quant_pricer, "_cores", lambda: 2)
+    monkeypatch.setattr(quant_pricer, "_SPLIT_BLOCKS", 2)  # budget 200 has at most 7 blocks a step
     calls = []
     original = OneStepLaw.cdf
 
@@ -494,6 +495,7 @@ CORE_MODELS = {
 
 def _prices_on_cores(monkeypatch, cores, price):
     monkeypatch.setattr(quant_pricer, "_cores", lambda: cores)
+    monkeypatch.setattr(quant_pricer, "_SPLIT_BLOCKS", 2)  # every step of two or more blocks splits
     return [p.hex() for p in price()]
 
 
@@ -528,47 +530,6 @@ def test_table_prices_are_identical_on_one_and_two_cores(monkeypatch, table_id):
     assert _prices_on_cores(monkeypatch, 2, price) == _prices_on_cores(monkeypatch, 1, price)
 
 
-class TestGridReuse:
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        """The settings of every grid ``price_barrier_quant`` builds, from an empty cache."""
-        seen = []
-        original = quant_pricer.quantize_price_process
-
-        def counting(model, quantizer, n_steps, substeps=4):
-            seen.append((model, quantizer.n_paths, quantizer.horizon, n_steps, substeps))
-            return original(model, quantizer, n_steps, substeps)
-
-        monkeypatch.setattr(quant_pricer, "quantize_price_process", counting)
-        price_barrier_quant.cache_clear()
-        yield seen
-        price_barrier_quant.cache_clear()
-
-    def test_second_identical_call_builds_no_grid(self, builds):
-        first = price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
-        second = price_barrier_quant(BS07, uoc(115.0), 5, budget=200)
-        assert len(builds) == 1 and first.price.hex() == second.price.hex()
-        price_barrier_quant(BS07, doc(90.0), 5, budget=200)  # another contract on the same grid
-        assert len(builds) == 1
-
-    def test_calls_that_differ_in_a_setting_share_no_grid(self, builds):
-        base = dict(model=BS07, contract=uoc(115.0), n_steps=5, budget=200, substeps=4)
-        variants = [
-            {},
-            {"model": BlackScholes(r=0.15, sigma=0.1, x0=100.0)},
-            {"budget": 60},
-            {"contract": BarrierContract(BarrierType.UP_AND_OUT, PayoffType.CALL, 100.0, 115.0, 2.0)},
-            {"n_steps": 6},
-            {"substeps": 2},
-        ]
-        for change in variants:
-            price_barrier_quant(**(base | change))
-        assert len(builds) == len(variants) == len(set(builds))
-        for change in variants:  # every setting is still held
-            price_barrier_quant(**(base | change))
-        assert len(builds) == len(variants)
-
-
 def _price_in_child(conn):
     conn.send(price_barrier_quant(BS07, uoc(115.0), 5, budget=200).price.hex())
     conn.close()
@@ -577,9 +538,9 @@ def _price_in_child(conn):
 def test_forked_child_prices_after_the_parent_used_the_pool(monkeypatch):
     """A forked child has no worker thread; it must make its own pool, not wait on the parent's."""
     monkeypatch.setattr(quant_pricer, "_cores", lambda: 2)
+    monkeypatch.setattr(quant_pricer, "_SPLIT_BLOCKS", 2)
     expected = price_barrier_quant(BS07, uoc(115.0), 5, budget=200).price.hex()
     assert quant_pricer._worker.cache_info().currsize == 1
-    price_barrier_quant.cache_clear()  # so the child builds its own grid too
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_price_in_child, args=(send,))
