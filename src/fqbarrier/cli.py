@@ -26,7 +26,7 @@ from .closed_form import price_closed_form
 from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
 from .gaussian import optimal_normal_quantizer, save_quantizer
 from .mc_pricer import Estimator, McConfig, rbb_price
-from .models import BlackScholes, model_from_dict, one_step_law
+from .models import BlackScholes, model_from_dict
 from .price_grid import dump_grids, quantize_price_process
 from .quant_pricer import price_barrier
 from .tables import DEFAULT_SEED, run_table, write_table_csv
@@ -35,11 +35,47 @@ from .transitions import dump_transitions, transition_steps
 __all__ = ["main", "run_config"]
 
 _RESULT_FIELDS = ["method", "price", "sample_variance", "std_error", "elapsed"]
+_CONFIG_KEYS = ("model", "contract", "method", "params")
+# every params key some method reads; one set for all, so that one config
+# serves price-quant and price-mc alike
+_PARAM_KEYS = ("steps", "budget", "substeps", "dump_grids", "dump_transitions", "paths", "seed", "estimator")
+_NUMBER_KEYS = {"model": ("r", "sigma", "vartheta", "delta", "x0"), "contract": ("strike", "barrier", "maturity")}
 
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    _check_config(config)  # before the flags are merged into it
+    return config
+
+
+def _check_config(config) -> None:
+    """Reject a malformed config with a ValueError that names the offending entry.
+
+    That is a config or block that is not an object, a top-level or params
+    key that no method reads, a dump path that is not a string, and a
+    number that float() cannot take.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    params = config.get("params", {})
+    for where, block in (("model", config.get("model")), ("contract", config.get("contract")), ("params", params)):
+        if not isinstance(block, dict):
+            raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
+    for where, block, known in (("config", config, _CONFIG_KEYS), ("params", params, _PARAM_KEYS)):
+        unknown = [key for key in block if key not in known]
+        if unknown:
+            raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; accepted: {', '.join(known)}")
+    for key in ("dump_grids", "dump_transitions"):
+        # open() takes an integer as a file descriptor: 1 would write the dump to stdout and close it
+        if not isinstance(params.get(key, ""), str):
+            raise ValueError(f"params.{key} must be a file path, got {params[key]!r}")
+    for where, keys in _NUMBER_KEYS.items():
+        for key in keys:
+            try:
+                float(config[where].get(key, 0.0))
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}.{key} must be a number, got {config[where][key]!r}") from None
 
 
 def _contract_from_dict(block: dict) -> BarrierContract:
@@ -67,7 +103,11 @@ def _int_param(params: dict, key: str, default: int) -> int:
 
 
 def run_config(config: dict) -> PricingResult:
-    """Dispatch a config document to the selected pricing method."""
+    """Dispatch a config document to the selected pricing method.
+
+    Every check runs before any work is done or any dump is written.
+    """
+    _check_config(config)
     model = model_from_dict(config["model"])
     contract = _contract_from_dict(config["contract"])
     method = config.get("method", "quant")
@@ -76,16 +116,14 @@ def run_config(config: dict) -> PricingResult:
     if method == "quant":
         budget = _int_param(params, "budget", 1000)
         steps, substeps = _int_param(params, "steps", 20), _int_param(params, "substeps", 4)
-        cdf_mode = params.get("cdf_mode")
-        one_step_law(model, model.x0, contract.maturity, cdf_mode)  # reject a bad mode before any output
         start = time.perf_counter()
         quantizer = brownian_product_quantizer(budget, contract.maturity)
         grid = quantize_price_process(model, quantizer, steps, substeps)
         if params.get("dump_grids"):
             dump_grids(grid, params["dump_grids"])
         if params.get("dump_transitions"):
-            dump_transitions(transition_steps(model, grid, cdf_mode), params["dump_transitions"])
-        result = price_barrier(model, contract, grid, cdf_mode)
+            dump_transitions(transition_steps(model, grid), params["dump_transitions"])
+        result = price_barrier(model, contract, grid)
         result.elapsed = time.perf_counter() - start
         return result
     if method == "rbb":
@@ -152,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--substeps", type=int)
-    p.add_argument("--cdf-mode", choices=["exact", "euler"], dest="cdf_mode")
     p.add_argument("--dump-grids", dest="dump_grids", help="CSV dump of the price grids")
     p.add_argument("--dump-transitions", dest="dump_transitions", help="CSV dump of the transition matrices")
 
@@ -227,7 +264,6 @@ def main(argv=None) -> int:
                     "steps": "steps",
                     "budget": "budget",
                     "substeps": "substeps",
-                    "cdf_mode": "cdf_mode",
                     "dump_grids": "dump_grids",
                     "dump_transitions": "dump_transitions",
                 },

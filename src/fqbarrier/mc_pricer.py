@@ -58,6 +58,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 def _path_draws(seed: int, first_path: int, count: int, n_steps: int):

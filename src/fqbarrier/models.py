@@ -10,8 +10,8 @@ and the bridge) and the two terms of the quantizer ODE in log x.
 ``one_step_law`` gives the one-step conditional law of the price from a
 set of source points, which the grid transition probabilities evaluate.
 It is Gaussian in some coordinate: in log x for the exact law of
-Black-Scholes, and in x itself for the one-step Euler proxy that serves
-every model.
+Black-Scholes, and in x itself for the one-step Euler proxy of the
+pseudo-CEV model.
 """
 
 from __future__ import annotations
@@ -151,23 +151,17 @@ class OneStepLaw:
         return self._from_u(self.origin + self.shift + np.asarray(scores, dtype=float) * self.sd)
 
 
-def one_step_law(model: Model, x, dt: float, cdf_mode: str | None = None) -> OneStepLaw:
+def one_step_law(model: Model, x, dt: float) -> OneStepLaw:
     """One-step conditional law from each point of ``x`` over ``dt``.
 
-    ``cdf_mode`` "exact" gives the lognormal law of Black-Scholes, "euler"
-    the Gaussian law of one Euler step, N(x + b(x) dt, sigma(x)^2 dt), and
-    None the exact law whenever the model has one.
+    The model fixes the law: the exact lognormal law for Black-Scholes, and
+    for any other model the Gaussian law of one Euler step,
+    N(x + b(x) dt, sigma(x)^2 dt).
     """
-    if cdf_mode is None:
-        cdf_mode = "exact" if isinstance(model, BlackScholes) else "euler"
-    if cdf_mode not in ("exact", "euler"):
-        raise ValueError(f"unknown cdf_mode {cdf_mode!r}")
-    if cdf_mode == "exact" and not isinstance(model, BlackScholes):
-        raise ValueError("exact conditional law unavailable for this model; use cdf_mode='euler'")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if cdf_mode == "exact":
+    if isinstance(model, BlackScholes):
         sd = np.full(x.shape, model.sigma * math.sqrt(dt))
         return OneStepLaw(True, np.log(x), (model.r - 0.5 * model.sigma**2) * dt, sd)
     return OneStepLaw(False, x + model.drift(x) * dt, 0.0, model.diffusion(x) * math.sqrt(dt))

@@ -252,34 +252,26 @@ def _live_cells(points: np.ndarray, contract: BarrierContract) -> tuple[int, int
     return int(np.searchsorted(points, contract.barrier, "left")), points.size
 
 
-def price_barrier(
-    model: Model,
-    contract: BarrierContract,
-    grid: QuantizedPriceGrid,
-    cdf_mode: str | None = None,
-) -> PricingResult:
-    """Price the contract on prebuilt grids.
+def price_barrier(model: Model, contract: BarrierContract, grid: QuantizedPriceGrid) -> PricingResult:
+    """Price the contract on prebuilt grids under the model's one-step law (``models.one_step_law``).
 
-    ``cdf_mode`` selects the one-step conditional law as in
-    ``models.one_step_law``.  The grid must span the contract's maturity
-    and start at the model's x0.  A contract whose live set is empty at
-    some date prices exactly 0.
+    The grid must span the contract's maturity and start at the model's
+    x0.  A contract whose live set is empty at some date prices exactly 0.
     """
     start = time.perf_counter()
     grids, n = grid.grids, grid.n_steps
     if n < 1 or grids.ndim != 2 or grids.shape[0] != n + 1 or grids.shape[1] == 0:
         raise ValueError("need n_steps >= 1 and one nonempty grid per pricing date")
-    one_step_law(model, model.x0, grid.horizon / n, cdf_mode)  # reject a bad mode before any early return
     if grid.horizon != contract.maturity:
         raise ValueError(f"grid horizon {grid.horizon} differs from the contract maturity {contract.maturity}")
     if grids[0][0] != model.x0:
         raise ValueError(f"grid starts at {grids[0][0]}, the model at x0={model.x0}")
-    pi, terminal = _survival_measure(model, contract, grid, cdf_mode)
+    pi, terminal = _survival_measure(model, contract, grid)
     price = 0.0 if pi is None else np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(terminal))
     return PricingResult(price=price, method="quant", elapsed=time.perf_counter() - start)
 
 
-def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPriceGrid, cdf_mode: str | None):
+def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPriceGrid):
     """Survival masses on the live cells of the last date, and those cells' points.
 
     The masses are None when the live set is empty at some date.  Step k
@@ -306,7 +298,7 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
     for k in range(1, n + 1):
         lo, hi = live[k]
         gn = grids[k]
-        law = one_step_law(model, src, dt, cdf_mode)
+        law = one_step_law(model, src, dt)
         cells = np.clip(mass_cells(law, gn), lo, hi)
         starts = np.arange(0, src.size, _BAND_ROWS)
         bands = zip(starts, np.minimum.reduceat(cells[0], starts), np.maximum.reduceat(cells[1], starts))
@@ -380,16 +372,11 @@ def price_barrier_quant(
     n_steps: int,
     budget: int = 1000,
     substeps: int = 4,
-    cdf_mode: str | None = None,
 ) -> PricingResult:
-    """End-to-end quantization price: build paths and grids, then induct.
-
-    ``cdf_mode=None`` picks the exact conditional law when the model has
-    one and the Euler proxy otherwise.
-    """
+    """End-to-end quantization price: build paths and grids, then induct under the model's one-step law."""
     start = time.perf_counter()
     quantizer = brownian_product_quantizer(budget, contract.maturity)
     grid = quantize_price_process(model, quantizer, n_steps, substeps)
-    result = price_barrier(model, contract, grid, cdf_mode)
+    result = price_barrier(model, contract, grid)
     result.elapsed = time.perf_counter() - start
     return result

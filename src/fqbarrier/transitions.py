@@ -69,7 +69,8 @@ def mass_cells(law: OneStepLaw, grid_next) -> np.ndarray:
     probability 0 bit for bit; the cells below ``lo_i`` hold at most
     ndtr(-9) = 1.1e-19 together.  A degenerate law (zero spread) gets the
     one cell that holds its point.  This assumes a spread well above the
-    rounding of the grid values; ``price_barrier`` checks the upper edge.
+    rounding of the grid values; ``quant_pricer._push_blocks`` checks the
+    upper edge.
     """
     gn = np.atleast_1d(np.asarray(grid_next, dtype=float))
     cuts = law.quantile(np.array([[_LOWER_CUT], [_UPPER_CUT]]))
@@ -112,33 +113,23 @@ def transition_block(
     return np.subtract(cum[:, 1:], cum[:, :-1], out=out)
 
 
-def transition_matrix(
-    model: Model,
-    grid_prev,
-    grid_next,
-    dt: float,
-    cdf_mode: str | None = None,
-    step: int = 0,
-) -> TransitionMatrix:
-    """Cell-to-cell transition probabilities for one step, over every cell.
-
-    ``cdf_mode`` selects the conditional law as in ``models.one_step_law``.
-    """
-    law = one_step_law(model, grid_prev, dt, cdf_mode)
+def transition_matrix(model: Model, grid_prev, grid_next, dt: float, step: int = 0) -> TransitionMatrix:
+    """Cell-to-cell transition probabilities for one step, over every cell."""
+    law = one_step_law(model, grid_prev, dt)
     n_next = np.atleast_1d(np.asarray(grid_next)).size
     return TransitionMatrix(step, transition_block(law, grid_next, 0, n_next))
 
 
-def transition_steps(model: Model, grid: QuantizedPriceGrid, cdf_mode: str | None = None):
+def transition_steps(model: Model, grid: QuantizedPriceGrid):
     """The pairs (k, step-k matrix entries) for k = 1..n, each matrix built only when it is drawn."""
     dt = grid.horizon / grid.n_steps
     for k in range(1, grid.n_steps + 1):
-        yield k, transition_matrix(model, grid.grids[k - 1], grid.grids[k], dt, cdf_mode).entries
+        yield k, transition_matrix(model, grid.grids[k - 1], grid.grids[k], dt).entries
 
 
-def transition_matrices(model: Model, grid: QuantizedPriceGrid, cdf_mode: str | None = None) -> list[TransitionMatrix]:
+def transition_matrices(model: Model, grid: QuantizedPriceGrid) -> list[TransitionMatrix]:
     """All n step matrices of a quantized price grid."""
-    return [TransitionMatrix(k, p) for k, p in transition_steps(model, grid, cdf_mode)]
+    return [TransitionMatrix(k, p) for k, p in transition_steps(model, grid)]
 
 
 def dump_transitions(steps, path) -> None:

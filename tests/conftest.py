@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from fqbarrier.brownian import brownian_product_quantizer
-from fqbarrier.models import BlackScholes, PseudoCEV
+from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.transitions import transition_matrices
 
@@ -15,6 +17,17 @@ BS07 = BlackScholes(r=0.15, sigma=0.07, x0=100.0)
 BS10 = BlackScholes(r=0.15, sigma=0.10, x0=100.0)
 PCEV07 = PseudoCEV(r=0.15, vartheta=0.7, delta=0.5, x0=100.0)
 PCEV10 = PseudoCEV(r=0.15, vartheta=1.0, delta=0.5, x0=100.0)
+
+
+def euler_law(model, x, dt):
+    """The one-step Euler law N(x + b(x) dt, sigma(x)^2 dt) of any model, Black-Scholes included.
+
+    ``models.one_step_law`` gives it for pseudo-CEV only; this builds it as
+    that function does, so the law-level tests can also take it from
+    Black-Scholes and compare it with the exact lognormal law.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return OneStepLaw(False, x + model.drift(x) * dt, 0.0, model.diffusion(x) * math.sqrt(dt))
 
 
 @pytest.fixture(scope="session")
@@ -46,11 +59,11 @@ def quant_pipeline(quant_grid):
     """Factory for (grid, full transition matrices) pairs, cached per configuration."""
     cache = {}
 
-    def build(model, n_steps, substeps=4, cdf_mode=None):
-        key = (model, n_steps, substeps, cdf_mode)
+    def build(model, n_steps, substeps=4):
+        key = (model, n_steps, substeps)
         if key not in cache:
             grid = quant_grid(model, n_steps, substeps)
-            cache[key] = (grid, transition_matrices(model, grid, cdf_mode))
+            cache[key] = (grid, transition_matrices(model, grid))
         return cache[key]
 
     return build

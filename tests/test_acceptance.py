@@ -201,7 +201,7 @@ def test_criterion_9_structural_invariants(quant_pipeline):
     for k in (1, 10, 20):
         gp, gn = grid.grids[k - 1], grid.grids[k]
         inner = 0.5 * (gn[:-1] + gn[1:])
-        cum = one_step_law(BS07, gp, 1.0 / 20, "exact").cdf(inner)
+        cum = one_step_law(BS07, gp, 1.0 / 20).cdf(inner)
         raw = np.diff(np.concatenate([np.zeros((966, 1)), cum, np.ones((966, 1))], axis=1), axis=1)
         deficit = max(deficit, float(np.max(np.abs(raw.sum(axis=1) - 1.0))))
     checks.append(("pre-normalization deficit", deficit < 1e-6))

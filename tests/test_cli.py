@@ -157,19 +157,55 @@ class TestPriceCommands:
         assert main(["price-quant", "--config", str(path)]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, mode, message", [
-        ("bs", "Exact", "unknown cdf_mode 'Exact'"),
-        ("pcev", "exact", "exact conditional law unavailable"),
-    ])
-    def test_bad_cdf_mode_fails_before_any_dump(self, bs_config, pcev_config, tmp_path, capsys, config, mode, message):
+    @pytest.mark.parametrize("config, key, message", [
+        ("bs", "cdf_mode", "unknown params key(s) 'cdf_mode'"),
+        ("pcev", "substep", "unknown params key(s) 'substep'"),
+    ], ids=["cdf-mode", "misspelt"])
+    def test_unread_params_key_fails_before_any_dump(self, bs_config, pcev_config, tmp_path, capsys, config, key,
+                                                     message):
         path = bs_config[0] if config == "bs" else pcev_config
         cfg = json.loads(path.read_text())
-        cfg["params"] = {"steps": 3, "budget": 6, "cdf_mode": mode,
+        cfg["params"] = {"steps": 3, "budget": 6, key: "exact",
                          "dump_grids": str(tmp_path / "grids.csv"), "dump_transitions": str(tmp_path / "trans.csv")}
         path.write_text(json.dumps(cfg))
         assert main(["price-quant", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "grids.csv").exists() and not (tmp_path / "trans.csv").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda cfg: cfg["params"].update(step=40), "unknown params key(s) 'step'"),
+        (lambda cfg: cfg["params"].update(estimater="conditional"), "unknown params key(s) 'estimater'"),
+        (lambda cfg: cfg.update(parms=cfg.pop("params")), "unknown config key(s) 'parms'"),
+        (lambda cfg: cfg["model"].update(r=None), "model.r must be a number, got None"),
+        (lambda cfg: cfg["contract"].update(barrier="high"), "contract.barrier must be a number, got 'high'"),
+        (lambda cfg: cfg["params"].update(dump_grids=1), "params.dump_grids must be a file path, got 1"),
+        (lambda cfg: cfg.update(params=[1]), "params must be a JSON object, got list"),
+        (lambda cfg: cfg.update(model="bs"), "model must be a JSON object, got str"),
+        (lambda cfg: cfg.pop("contract"), "contract must be a JSON object, got NoneType"),
+        (lambda cfg: [cfg], "config must be a JSON object, got list"),
+    ], ids=["step", "estimater", "parms", "r-null", "barrier-text", "dump-fd", "params-list", "model-text",
+            "no-contract", "top-level-list"])
+    def test_malformed_config_fails_with_one_line_before_any_dump(self, bs_config, tmp_path, capsys, change, message):
+        path, cfg = bs_config
+        cfg["params"] = {"steps": 3, "budget": 6, "dump_grids": str(tmp_path / "grids.csv")}
+        changed = change(cfg)  # a list replaces the whole config
+        path.write_text(json.dumps(changed if isinstance(changed, list) else cfg))
+        assert main(["price-quant", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "grids.csv").exists()
+
+    def test_one_config_serves_both_methods(self, bs_config):
+        path, cfg = bs_config
+        cfg["params"] = {"steps": 4, "budget": 12, "substeps": 4, "paths": 2000, "seed": 5, "estimator": "conditional"}
+        path.write_text(json.dumps(cfg))
+        assert main(["price-quant", "--config", str(path)]) == 0
+        assert main(["price-mc", "--config", str(path)]) == 0
+
+    def test_cdf_mode_flag_is_gone(self, bs_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["price-quant", "--config", str(bs_config[0]), "--cdf-mode", "euler"])
+        assert exc.value.code == 2
 
     def test_unknown_method(self, bs_config):
         _, cfg = bs_config

@@ -167,6 +167,12 @@ class TestRbbPrice:
         with pytest.raises(ValueError):
             McConfig(n_steps=10, n_paths=0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            McConfig(n_steps=5, n_paths=100, seed=seed)
+        McConfig(n_steps=5, n_paths=100, seed=2**128 - 1)  # the largest key
+
 
 class TestVarianceReduction:
     def test_conditional_variance_below_indicator(self):

@@ -10,7 +10,7 @@ from fqbarrier.models import (
     model_from_dict,
     one_step_law,
 )
-from tests.conftest import BS07, PCEV07
+from tests.conftest import BS07, PCEV07, euler_law
 
 # frozen 50-digit evaluations
 PCEV_DIFFUSION_AT_100 = 6.999650026247813
@@ -21,12 +21,12 @@ EULER_CDF_AT_SPOT = 0.249002865868
 
 def exact_cdf(model, z, x, dt):
     """CDF of the exact one-step law from the single point ``x``, over ``z``."""
-    return one_step_law(model, x, dt, "exact").cdf(z)[0].reshape(np.shape(z))
+    return one_step_law(model, x, dt).cdf(z)[0].reshape(np.shape(z))
 
 
 def euler_cdf(model, z, x, dt):
     """CDF of the one-step Euler law from the single point ``x``, over ``z``."""
-    return one_step_law(model, x, dt, "euler").cdf(z)[0].reshape(np.shape(z))
+    return euler_law(model, x, dt).cdf(z)[0].reshape(np.shape(z))
 
 
 class TestCoefficients:
@@ -117,10 +117,6 @@ class TestExactConditionalCdf:
         assert exact_cdf(flat, fwd - 1e-9, 100.0, 0.1) == 0.0
         assert exact_cdf(flat, fwd + 1e-9, 100.0, 0.1) == 1.0
 
-    def test_rejects_pcev(self):
-        with pytest.raises(ValueError):
-            exact_cdf(PCEV07, 100.0, 100.0, 0.1)
-
 
 class TestEulerConditionalCdf:
     def test_median_at_drifted_mean(self):
@@ -169,23 +165,32 @@ class TestCdfShapeAndAgreement:
         assert g2 < 0.75 * g1
 
 
-LAWS = [(BS07, "exact"), (BS07, "euler"), (PCEV07, "euler")]
+LAWS = [(BS07, one_step_law), (BS07, euler_law), (PCEV07, one_step_law)]
 
 
 class TestOneStepLaw:
-    @pytest.mark.parametrize("model,mode", LAWS, ids=["bs-exact", "bs-euler", "pcev-euler"])
-    def test_quantile_round_trip(self, model, mode):
+    def test_model_picks_the_law(self):
+        x, dt = [50.0, 100.0, 180.0], 0.05
+        exact, euler = one_step_law(BS07, x, dt), one_step_law(PCEV07, x, dt)
+        assert exact.log and not euler.log
+        assert np.array_equal(exact.origin, np.log(x)) and exact.shift == (0.15 - 0.5 * 0.07**2) * dt
+        helper = euler_law(PCEV07, x, dt)
+        assert helper.log == euler.log and helper.shift == euler.shift == 0.0
+        assert np.array_equal(helper.origin, euler.origin) and np.array_equal(helper.sd, euler.sd)
+
+    @pytest.mark.parametrize("model,law_of", LAWS, ids=["bs-exact", "bs-euler", "pcev-euler"])
+    def test_quantile_round_trip(self, model, law_of):
         scores = np.linspace(-8.0, 8.0, 33)
-        law = one_step_law(model, [50.0, 100.0, 180.0], 0.05, mode)
+        law = law_of(model, [50.0, 100.0, 180.0], 0.05)
         cuts = law.quantile(scores[:, None])
         for i in range(3):
             assert np.max(np.abs(law.cdf(cuts[:, i], slice(i, i + 1))[0] - ndtr(scores))) < 1e-12
 
-    @pytest.mark.parametrize("mode", ["exact", "euler"])
-    def test_quantile_of_a_point_law_is_its_point(self, mode):
+    @pytest.mark.parametrize("law_of", [one_step_law, euler_law], ids=["exact", "euler"])
+    def test_quantile_of_a_point_law_is_its_point(self, law_of):
         """A sigma = 0 source: every score cuts at the point, where the CDF steps from 0 to 1."""
         scores = np.linspace(-8.0, 8.0, 33)
-        law = one_step_law(BlackScholes(0.15, 0.0, 100.0), [50.0, 100.0, 180.0], 0.05, mode)
+        law = law_of(BlackScholes(0.15, 0.0, 100.0), [50.0, 100.0, 180.0], 0.05)
         cuts = law.quantile(scores[:, None])
         for i in range(3):
             assert np.all(cuts[:, i] == cuts[0, i])
@@ -195,11 +200,11 @@ class TestOneStepLaw:
     def test_cdf_arguments_round_as_the_closed_forms(self):
         x, z, dt = np.array([90.0, 100.0, 111.0]), np.linspace(80.0, 125.0, 91), 0.05
         exact = ndtr(((np.log(z) - np.log(x)[:, None]) - (0.15 - 0.5 * 0.07**2) * dt) / (0.07 * math.sqrt(dt)))
-        assert np.array_equal(one_step_law(BS07, x, dt, "exact").cdf(z), exact)
-        for model in (BS07, PCEV07):
+        assert np.array_equal(one_step_law(BS07, x, dt).cdf(z), exact)
+        for model, law_of in ((BS07, euler_law), (PCEV07, one_step_law)):
             mean, sd = x + model.drift(x) * dt, model.diffusion(x) * math.sqrt(dt)
             euler = ndtr((z - mean[:, None]) / sd[:, None])
-            assert np.array_equal(one_step_law(model, x, dt, "euler").cdf(z), euler)
+            assert np.array_equal(law_of(model, x, dt).cdf(z), euler)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
     def test_rejects_nonpositive_dt(self, dt):

@@ -13,7 +13,7 @@ from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
-from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV
+from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV, one_step_law
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import (
     _BAND_ROWS,
@@ -49,20 +49,20 @@ def _kernels(model, contract, grid, mats):
         yield quantized_kernel(g[k], g[k + 1], tm.entries, contract, _params(model, g[k], grid.n_steps))
 
 
-def _chain_measure(model, contract, grid, mats=None, cdf_mode=None):
+def _chain_measure(model, contract, grid, mats=None):
     """e0 H_1 ... H_n over every cell of every date.
 
     Without ``mats`` each full matrix is built as the induction reaches it.
     """
     if mats is None:
         g, n = grid.grids, grid.n_steps
-        mats = (transition_matrix(model, g[k - 1], g[k], grid.horizon / n, cdf_mode) for k in range(1, n + 1))
+        mats = (transition_matrix(model, g[k - 1], g[k], grid.horizon / n) for k in range(1, n + 1))
     return forward_induction(_kernels(model, contract, grid, mats))
 
 
-def _chain_price(model, contract, grid, mats=None, cdf_mode=None):
+def _chain_price(model, contract, grid, mats=None):
     """Discounted payoff under e0 H_1 ... H_n."""
-    pi = _chain_measure(model, contract, grid, mats, cdf_mode)
+    pi = _chain_measure(model, contract, grid, mats)
     return np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(grid.grids[-1]))
 
 
@@ -216,11 +216,7 @@ class TestPriceBarrier:
     def test_checks_run_before_knock_out_at_x0(self, quant_grid):
         grid = quant_grid(BS07, 10)
         dead = uoc(95.0)
-        with pytest.raises(ValueError, match="unknown cdf_mode"):
-            price_barrier(BS07, dead, grid, cdf_mode="magic")
-        with pytest.raises(ValueError, match="exact conditional law unavailable"):
-            price_barrier(PCEV07, dead, quant_grid(PCEV07, 10), cdf_mode="exact")
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="differs from the contract maturity"):
             price_barrier(BS07, dead, dataclasses.replace(grid, horizon=0.0))
         with pytest.raises(ValueError, match="nonempty grid"):
             price_barrier(BS07, dead, dataclasses.replace(grid, grids=np.empty((11, 0))))
@@ -272,7 +268,7 @@ class TestPriceBarrier:
 
     def test_call_and_put_from_one_measure(self, quant_grid):
         grid = quant_grid(BS07, 10)
-        pi, terminal = _survival_measure(BS07, uoc(115.0), grid, None)
+        pi, terminal = _survival_measure(BS07, uoc(115.0), grid)
         disc = np.exp(-0.15)
         call = price_barrier(BS07, uoc(115.0), grid).price
         contract_put = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.PUT, 100.0, 115.0, 1.0)
@@ -376,22 +372,19 @@ def _n80_grid(model):
 
 
 @pytest.mark.parametrize(
-    "model,cdf_mode,barrier_type,barrier",
+    "model,barrier_type,barrier",
     [
-        (PCEV07, "euler", BarrierType.UP_AND_OUT, 115.0),
-        (PCEV07, "euler", BarrierType.DOWN_AND_OUT, 90.0),
-        (BS07, "exact", BarrierType.UP_AND_OUT, 115.0),
-        (BS07, "exact", BarrierType.DOWN_AND_OUT, 90.0),
-        (BS07, "euler", BarrierType.UP_AND_OUT, 110.0),
-        (BS07, "euler", BarrierType.DOWN_AND_OUT, 95.0),
-        (BS_FROZEN, "exact", BarrierType.UP_AND_OUT, 120.0),
-        (BS_FROZEN, "exact", BarrierType.UP_AND_OUT, 110.0),
-        (BS_FROZEN, "euler", BarrierType.DOWN_AND_OUT, 99.0),
+        (PCEV07, BarrierType.UP_AND_OUT, 115.0),
+        (PCEV07, BarrierType.DOWN_AND_OUT, 90.0),
+        (BS07, BarrierType.UP_AND_OUT, 115.0),
+        (BS07, BarrierType.DOWN_AND_OUT, 90.0),
+        (BS_FROZEN, BarrierType.UP_AND_OUT, 120.0),
+        (BS_FROZEN, BarrierType.UP_AND_OUT, 110.0),
+        (BS_FROZEN, BarrierType.DOWN_AND_OUT, 99.0),
     ],
-    ids=["pcev-up", "pcev-down", "bs-up", "bs-down", "bs-euler-up", "bs-euler-down",
-         "frozen-up", "frozen-knocked", "frozen-euler-down"],
+    ids=["pcev-up", "pcev-down", "bs-up", "bs-down", "frozen-up", "frozen-knocked", "frozen-down"],
 )
-def test_banded_prices_match_full_matrix_chain_at_n80(model, cdf_mode, barrier_type, barrier):
+def test_banded_prices_match_full_matrix_chain_at_n80(model, barrier_type, barrier):
     """At n=80 a row's law spans about 57% of the cells on average, and 36% at the last dates.
 
     The share hardly depends on the budget (0.58 at budget 300, 0.56 at
@@ -399,10 +392,10 @@ def test_banded_prices_match_full_matrix_chain_at_n80(model, cdf_mode, barrier_t
     """
     grid = _n80_grid(model)
     call = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
-    pi = _chain_measure(model, call, grid, cdf_mode=cdf_mode)  # the measure does not depend on the payoff
+    pi = _chain_measure(model, call, grid)  # the measure does not depend on the payoff
     for contract in (call, dataclasses.replace(call, payoff_type=PayoffType.PUT)):
         chain = np.exp(-model.r) * float(pi @ contract.payoff(grid.grids[-1]))
-        banded = price_barrier(model, contract, grid, cdf_mode).price
+        banded = price_barrier(model, contract, grid).price
         if chain == 0.0:
             assert banded == 0.0
         else:
@@ -411,17 +404,49 @@ def test_banded_prices_match_full_matrix_chain_at_n80(model, cdf_mode, barrier_t
             assert chain == 0.0  # the frozen path crosses the barrier
 
 
-@pytest.mark.parametrize("sigma", [1e-300, 1e-30, 1e-16, 1e-14])
-@pytest.mark.parametrize("cdf_mode", ["exact", "euler"])
-def test_vanishing_spread_keeps_the_mass_above_the_cut(sigma, cdf_mode):
-    """A spread below the rounding of the grid values defeats the upper cut's margin; the band widens instead."""
-    model = BlackScholes(r=0.15, sigma=sigma, x0=100.0)
-    grid = quantize_price_process(model, brownian_product_quantizer(200, 1.0), 10)
-    for barrier_type, barrier in ((BarrierType.UP_AND_OUT, 120.0), (BarrierType.DOWN_AND_OUT, 90.0)):
-        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
-        chain = _chain_price(model, contract, grid, cdf_mode=cdf_mode)
-        assert chain > 10.0
-        assert price_barrier(model, contract, grid, cdf_mode).price == pytest.approx(chain, rel=1e-13, abs=0.0)
+def _grid_on_the_mean_path(model, grid):
+    """``grid`` with each date's points moved to within a few ulps of the one-step mean from the last date's."""
+    j = np.arange(grid.d_n) - grid.d_n // 2
+    grids, centre = np.empty_like(grid.grids), model.x0
+    grids[0] = centre
+    for k in range(1, grid.n_steps + 1):
+        centre = float(one_step_law(model, centre, grid.horizon / grid.n_steps).quantile(0.0)[0])
+        grids[k] = centre * (1.0 + j * 2.0**-53)
+    return dataclasses.replace(grid, grids=grids)
+
+
+@pytest.mark.parametrize("spread", [1e-300, 1e-30, 1e-16, 1e-14])
+@pytest.mark.parametrize("law", ["exact", "euler"])
+def test_vanishing_spread_keeps_the_mass_above_the_cut(monkeypatch, spread, law):
+    """A spread below the rounding of the grid values defeats the upper cut's margin; the band widens instead.
+
+    The exact law is Black-Scholes' at sigma = ``spread``, the Euler law
+    pseudo-CEV's at vartheta = ``spread``.  On the quantized grid every
+    date's points coincide; on its twin they lie within ulps of the law's
+    mean, so that a cell edge falls on the cut, and there the band widens
+    whenever the spread is below the rounding.
+    """
+    monkeypatch.setattr(quant_pricer, "_cores", lambda: 1)
+    calls = []
+    original = quant_pricer.transition_block
+
+    def recorder(step_law, grid_next, lo, hi, rows=slice(None), out=None, work=None):
+        calls.append((step_law, rows.start))
+        return original(step_law, grid_next, lo, hi, rows, out=out, work=work)
+
+    monkeypatch.setattr(quant_pricer, "transition_block", recorder)
+    model = BlackScholes(0.15, spread, 100.0) if law == "exact" else PseudoCEV(0.15, spread, 0.5, 100.0)
+    quantized = quantize_price_process(model, brownian_product_quantizer(200, 1.0), 10)
+    for grid in (quantized, _grid_on_the_mean_path(model, quantized)):
+        for barrier_type, barrier in ((BarrierType.UP_AND_OUT, 120.0), (BarrierType.DOWN_AND_OUT, 90.0)):
+            contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
+            chain = _chain_price(model, contract, grid)
+            assert chain > 10.0
+            assert price_barrier(model, contract, grid).price == pytest.approx(chain, rel=1e-13, abs=0.0)
+    # a block evaluated twice in a row took the rest of the live cells
+    widened = sum(a[0] is b[0] and a[1] == b[1] for a, b in zip(calls, calls[1:]))
+    if spread <= 1e-16:
+        assert widened > 0
 
 
 def test_step_one_evaluates_the_single_point_x0(monkeypatch):

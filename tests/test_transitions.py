@@ -23,7 +23,7 @@ from fqbarrier.transitions import (
     transition_matrix,
     transition_steps,
 )
-from tests.conftest import BS07, PCEV07
+from tests.conftest import BS07, PCEV07, euler_law
 
 # frozen lognormal/Gaussian CDF evaluations at the single midpoint 100
 EXACT_ROW = [0.25252566906, 0.74747433094]
@@ -33,7 +33,7 @@ EULER_ROW = [0.249002865868, 0.750997134132]
 # a volatile model whose one-step Euler law puts 7.5% of its mass below 0
 WILD = BlackScholes(r=0.15, sigma=0.8, x0=100.0)
 SOURCES = np.array([20.0, 100.0])
-WILD_LAW = one_step_law(WILD, SOURCES, 1.0, "euler")
+WILD_LAW = euler_law(WILD, SOURCES, 1.0)
 
 
 def _euler_cdf(z):
@@ -82,12 +82,12 @@ class TestTransitionMatrix:
         assert tm.entries.tolist() == [[1.0]]
 
     def test_exact_mode_frozen_row(self):
-        tm = transition_matrix(BS07, [100.0], [90.0, 110.0], 0.1, cdf_mode="exact")
+        tm = transition_matrix(BS07, [100.0], [90.0, 110.0], 0.1)
         assert tm.entries[0] == pytest.approx(EXACT_ROW, abs=1e-9)
 
     def test_euler_mode_frozen_row(self):
-        tm = transition_matrix(BS07, [100.0], [90.0, 110.0], 0.1, cdf_mode="euler")
-        assert tm.entries[0] == pytest.approx(EULER_ROW, abs=1e-9)
+        row = transition_block(euler_law(BS07, [100.0], 0.1), [90.0, 110.0], 0, 2)[0]
+        assert row == pytest.approx(EULER_ROW, abs=1e-9)
 
     def test_rows_renormalized_exactly(self, quant_pipeline):
         _, mats = quant_pipeline(BS07, 10)
@@ -101,7 +101,7 @@ class TestTransitionMatrix:
         for k in (1, 5, 10):
             gp, gn = grid.grids[k - 1], grid.grids[k]
             inner = 0.5 * (gn[:-1] + gn[1:])
-            cum = one_step_law(BS07, gp, dt, "exact").cdf(inner)
+            cum = one_step_law(BS07, gp, dt).cdf(inner)
             raw = np.diff(np.concatenate([np.zeros((966, 1)), cum, np.ones((966, 1))], axis=1), axis=1)
             assert np.max(np.abs(raw.sum(axis=1) - 1.0)) < 1e-6
 
@@ -111,16 +111,12 @@ class TestTransitionMatrix:
         # larger starting point pushes mass to higher cells at every cut
         assert np.all(cdf[1:, :] <= cdf[:-1, :] + 1e-12)
 
-    def test_exact_mode_rejected_for_pcev(self):
-        with pytest.raises(ValueError):
-            transition_matrix(PCEV07, [100.0], [90.0, 110.0], 0.1, cdf_mode="exact")
-
     def test_euler_mode_default_for_pcev(self, quant_pipeline):
         grid, mats = quant_pipeline(PCEV07, 10)
         assert np.max(np.abs(mats[0].entries.sum(axis=1) - 1.0)) < 1e-10
         gp, gn = grid.grids[4], grid.grids[5]
         default = transition_matrix(PCEV07, gp, gn, 0.1).entries
-        assert np.array_equal(default, transition_matrix(PCEV07, gp, gn, 0.1, "euler").entries)
+        assert np.array_equal(default, transition_block(euler_law(PCEV07, gp, 0.1), gn, 0, gn.size))
         assert np.array_equal(default, mats[4].entries)
 
     def test_rectangular_grids_supported(self):
@@ -131,8 +127,6 @@ class TestTransitionMatrix:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             transition_matrix(BS07, [100.0], [90.0, 110.0], 0.0)
-        with pytest.raises(ValueError):
-            transition_matrix(BS07, [100.0], [110.0], 0.1, cdf_mode="magic")
 
 
 class TestTransitionBlock:
@@ -168,19 +162,21 @@ class TestMassCells:
         assert 0.0 < ndtr(_LOWER_CUT) < 1.2e-19
 
     @pytest.mark.parametrize(
-        "model,cdf_mode",
-        [(BS07, "exact"), (BS07, "euler"), (PCEV07, "euler"), (BlackScholes(0.15, 0.0, 100.0), "exact")],
+        "model,law_of",
+        [(BS07, one_step_law), (BS07, euler_law), (PCEV07, one_step_law),
+         (BlackScholes(0.15, 0.0, 100.0), one_step_law)],
         ids=["bs-exact", "bs-euler", "pcev-euler", "bs-sigma0"],
     )
     @pytest.mark.parametrize("n_steps", [10, 80])
-    def test_cells_outside_hold_no_mass(self, quant_grid, model, cdf_mode, n_steps):
+    def test_cells_outside_hold_no_mass(self, quant_grid, model, law_of, n_steps):
         """Beyond hi_i every probability is 0 bit for bit; below lo_i they sum to at most ndtr(-9)."""
         grid = quant_grid(model, n_steps)
         dt = 1.0 / n_steps
         for k in (1, n_steps // 2, n_steps):
             gp, gn = grid.grids[k - 1], grid.grids[k]
-            p = transition_matrix(model, gp, gn, dt, cdf_mode).entries
-            lo, hi = mass_cells(one_step_law(model, gp, dt, cdf_mode), gn)
+            law = law_of(model, gp, dt)
+            p = transition_block(law, gn, 0, gn.size)
+            lo, hi = mass_cells(law, gn)
             cols = np.arange(gn.size)
             assert np.all(p[cols >= hi[:, None]] == 0.0)
             assert np.all(np.where(cols < lo[:, None], p, 0.0).sum(axis=1) <= 1.2e-19)
@@ -210,7 +206,7 @@ def _marginals(mats, x0_cell=0):
 class TestChainMarginals:
     def test_single_step_frozen(self):
         grids = [np.array([100.0, 100.0]), np.array([90.0, 110.0])]
-        mats = [transition_matrix(BS07, grids[0], grids[1], 0.1, cdf_mode="exact", step=1)]
+        mats = [transition_matrix(BS07, grids[0], grids[1], 0.1, step=1)]
         w = _marginals(mats)
         assert w[0].tolist() == [1.0, 0.0]
         assert w[1] == pytest.approx(EXACT_ROW, abs=1e-9)
