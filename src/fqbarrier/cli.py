@@ -26,7 +26,7 @@ from .closed_form import price_closed_form
 from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
 from .gaussian import optimal_normal_quantizer, save_quantizer
 from .mc_pricer import Estimator, McConfig, rbb_price
-from .models import BlackScholes, model_from_dict
+from .models import BlackScholes, check_keys, model_from_dict
 from .price_grid import dump_grids, quantize_price_process
 from .quant_pricer import price_barrier
 from .tables import DEFAULT_SEED, run_table, write_table_csv
@@ -39,6 +39,7 @@ _CONFIG_KEYS = ("model", "contract", "method", "params")
 # every params key some method reads; one set for all, so that one config
 # serves price-quant and price-mc alike
 _PARAM_KEYS = ("steps", "budget", "substeps", "dump_grids", "dump_transitions", "paths", "seed", "estimator")
+_CONTRACT_KEYS = ("type", "payoff", "strike", "barrier", "maturity")
 _NUMBER_KEYS = {"model": ("r", "sigma", "vartheta", "delta", "x0"), "contract": ("strike", "barrier", "maturity")}
 
 
@@ -62,10 +63,8 @@ def _check_config(config) -> None:
     for where, block in (("model", config.get("model")), ("contract", config.get("contract")), ("params", params)):
         if not isinstance(block, dict):
             raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
-    for where, block, known in (("config", config, _CONFIG_KEYS), ("params", params, _PARAM_KEYS)):
-        unknown = [key for key in block if key not in known]
-        if unknown:
-            raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; accepted: {', '.join(known)}")
+    check_keys("config", config, _CONFIG_KEYS)
+    check_keys("params", params, _PARAM_KEYS)
     for key in ("dump_grids", "dump_transitions"):
         # open() takes an integer as a file descriptor: 1 would write the dump to stdout and close it
         if not isinstance(params.get(key, ""), str):
@@ -79,13 +78,23 @@ def _check_config(config) -> None:
 
 
 def _contract_from_dict(block: dict) -> BarrierContract:
+    check_keys("contract", block, _CONTRACT_KEYS, _CONTRACT_KEYS)
     return BarrierContract(
-        barrier_type=BarrierType(block["type"]),
-        payoff_type=PayoffType(block["payoff"]),
+        barrier_type=_choice("contract.type", BarrierType, block["type"]),
+        payoff_type=_choice("contract.payoff", PayoffType, block["payoff"]),
         strike=float(block["strike"]),
         barrier=float(block["barrier"]),
         maturity=float(block["maturity"]),
     )
+
+
+def _choice(where: str, enum, value):
+    """The member of ``enum`` whose value is ``value``; any other value raises a ValueError naming ``where``."""
+    try:
+        return enum(value)
+    except ValueError:
+        accepted = ", ".join(member.value for member in enum)
+        raise ValueError(f"{where} must be one of {accepted}, got {value!r}") from None
 
 
 def _int_param(params: dict, key: str, default: int) -> int:
@@ -131,7 +140,7 @@ def run_config(config: dict) -> PricingResult:
             n_steps=_int_param(params, "steps", 20),
             n_paths=_int_param(params, "paths", 1_000_000),
             seed=_int_param(params, "seed", DEFAULT_SEED),
-            estimator=Estimator(params.get("estimator", "indicator")),
+            estimator=_choice("params.estimator", Estimator, params.get("estimator", "indicator")),
         )
         return rbb_price(model, contract, cfg)
     if method == "closed":

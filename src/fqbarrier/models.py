@@ -17,7 +17,7 @@ pseudo-CEV model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -167,16 +167,25 @@ def one_step_law(model: Model, x, dt: float) -> OneStepLaw:
     return OneStepLaw(False, x + model.drift(x) * dt, 0.0, model.diffusion(x) * math.sqrt(dt))
 
 
+def check_keys(where: str, block: dict, accepted, required=()) -> None:
+    """Raise one ValueError naming the keys of ``block`` outside ``accepted`` and those of ``required`` it lacks."""
+    unknown = [key for key in block if key not in accepted]
+    missing = [key for key in required if key not in block]
+    found = [f"{kind} {where} key(s) {', '.join(map(repr, keys))}"
+             for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if found:
+        raise ValueError(f"{'; '.join(found)}; accepted: {', '.join(accepted)}")
+
+
 def model_from_dict(block: dict) -> Model:
-    """Parse a model block like {"model": "bs", "r": .., "sigma": .., "x0": ..}."""
+    """Parse a model block like {"model": "bs", "r": .., "sigma": .., "x0": ..}.
+
+    The block must hold exactly the kind's parameters besides "model".
+    """
     kind = block.get("model")
-    if kind == "bs":
-        return BlackScholes(r=float(block["r"]), sigma=float(block["sigma"]), x0=float(block["x0"]))
-    if kind == "pcev":
-        return PseudoCEV(
-            r=float(block["r"]),
-            vartheta=float(block["vartheta"]),
-            delta=float(block["delta"]),
-            x0=float(block["x0"]),
-        )
-    raise ValueError(f"unknown model kind {kind!r} (expected 'bs' or 'pcev')")
+    cls = {"bs": BlackScholes, "pcev": PseudoCEV}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r} (expected 'bs' or 'pcev')")
+    names = [f.name for f in fields(cls)]
+    check_keys("model", block, ["model", *names], names)
+    return cls(**{name: float(block[name]) for name in names})

@@ -36,26 +36,25 @@ When the process may run on two or more cores, a step with at least
 ``_SPLIT_BLOCKS`` blocks splits them into two shares of about equal CDF
 cost, the sum of their band widths.  The calling thread prices the first
 share and adds each block's mass into the next date's measure at once;
-one pool worker prices the second share, with its own two work arrays,
-and hands back each block's mass, which the calling thread adds after its
-own in block order.  Every entry of the measure is thus summed in the
-same order as on one core, and the prices are the same bit for bit.  The
-worker is made on the first call that uses it, and a forked child makes
-its own.  Below 16 blocks (512 live source points) the handoff costs more
-than the second core saves: on 2 cores, budgets 60-500 priced up to 30%
-slower split and budgets 700-1000 20-45% faster.
+the worker thread shared with the Monte Carlo (``_pool``) prices the
+second share, with its own two work arrays, and hands back each block's
+mass, which the calling thread adds after its own in block order.
+Every entry of the measure is thus summed in the same order as on one
+core, and the prices are the same bit for bit.  The worker is made on
+the first call that uses it, and a forked child makes its own.  Below 16
+blocks (512 live source points) the handoff costs more than the second
+core saves: on 2 cores, budgets 60-500 priced up to 30% slower split and
+budgets 700-1000 20-45% faster.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bridge
+from ._pool import _cores, _worker
 from .bridge import BridgeParams, no_crossing
 from .bridge import bridge_max_cdf, bridge_min_cdf  # noqa: F401  the benchmark tracer wraps these attributes
 from .brownian import brownian_product_quantizer
@@ -80,25 +79,6 @@ __all__ = [
 _EXACT_ONE = -38.0
 _BAND_ROWS = 32  # source rows that share one band of columns
 _SPLIT_BLOCKS = 16  # a step with fewer blocks runs on one thread
-
-
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=1)
-def _worker() -> ThreadPoolExecutor:
-    """The one thread that prices a step's second share of row blocks."""
-    return ThreadPoolExecutor(1, thread_name_prefix="fqbarrier-step")
-
-
-# a forked child has no worker thread, only the parent's pool object
-if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 class _Survival:

@@ -183,8 +183,20 @@ class TestPriceCommands:
         (lambda cfg: cfg.update(model="bs"), "model must be a JSON object, got str"),
         (lambda cfg: cfg.pop("contract"), "contract must be a JSON object, got NoneType"),
         (lambda cfg: [cfg], "config must be a JSON object, got list"),
+        (lambda cfg: cfg["model"].update(vartheta=5.0),
+         "unknown model key(s) 'vartheta'; accepted: model, r, sigma, x0"),
+        (lambda cfg: cfg["model"].update(sigam=cfg["model"].pop("sigma")),
+         "unknown model key(s) 'sigam'; missing model key(s) 'sigma'; accepted: model, r, sigma, x0"),
+        (lambda cfg: cfg["contract"].update(barier=cfg["contract"].pop("barrier")),
+         "unknown contract key(s) 'barier'; missing contract key(s) 'barrier'; "
+         "accepted: type, payoff, strike, barrier, maturity"),
+        (lambda cfg: cfg["contract"].pop("payoff"),
+         "missing contract key(s) 'payoff'; accepted: type, payoff, strike, barrier, maturity"),
+        (lambda cfg: cfg["contract"].update(type="up"),
+         "contract.type must be one of up-and-out, down-and-out, got 'up'"),
     ], ids=["step", "estimater", "parms", "r-null", "barrier-text", "dump-fd", "params-list", "model-text",
-            "no-contract", "top-level-list"])
+            "no-contract", "top-level-list", "model-extra", "model-misspelt", "contract-misspelt",
+            "contract-missing", "contract-type"])
     def test_malformed_config_fails_with_one_line_before_any_dump(self, bs_config, tmp_path, capsys, change, message):
         path, cfg = bs_config
         cfg["params"] = {"steps": 3, "budget": 6, "dump_grids": str(tmp_path / "grids.csv")}
@@ -194,6 +206,13 @@ class TestPriceCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "grids.csv").exists()
+
+    def test_bad_estimator_names_the_key_and_the_values(self, bs_config, capsys):
+        path, cfg = bs_config
+        cfg["params"] = {"paths": 100, "estimator": "cond"}
+        path.write_text(json.dumps(cfg))
+        assert main(["price-mc", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: params.estimator must be one of indicator, conditional, got 'cond'\n"
 
     def test_one_config_serves_both_methods(self, bs_config):
         path, cfg = bs_config

@@ -1,20 +1,31 @@
 import math
+import multiprocessing
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fqbarrier import mc_pricer, quant_pricer
 from fqbarrier.closed_form import barrier_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.mc_pricer import (
+    _BLOCK,
+    _PIECE_DOUBLES,
     Estimator,
     McConfig,
     _path_draws,
+    _piece_rows,
+    _pieces,
     rbb_price,
     rbb_price_levels,
 )
 from fqbarrier.models import PseudoCEV
-from tests.conftest import BS07
+from fqbarrier.tables import run_table
+from tests.conftest import BS07, PCEV07
 
 
 def euler_path(model, n_steps, maturity, normals):
@@ -73,16 +84,21 @@ class TestEulerPath:
             euler_path(BS07, 3, 1.0, np.zeros(4))
 
 
+def draws(seed, first_path, count, n_steps):
+    """Normals and bridge uniforms of ``count`` paths, in a new buffer."""
+    return _path_draws(seed, first_path, np.empty((count, 2 * n_steps)))
+
+
 class TestRandomStream:
     def test_draws_are_block_independent(self):
-        whole_z, whole_v = _path_draws(99, 0, 10, 6)
-        a_z, a_v = _path_draws(99, 0, 4, 6)
-        b_z, b_v = _path_draws(99, 4, 6, 6)
+        whole_z, whole_v = draws(99, 0, 10, 6)
+        a_z, a_v = draws(99, 0, 4, 6)
+        b_z, b_v = draws(99, 4, 6, 6)
         assert np.array_equal(whole_z, np.vstack([a_z, b_z]))
         assert np.array_equal(whole_v, np.vstack([a_v, b_v]))
 
     def test_uniforms_strictly_inside_unit_interval(self):
-        _, v = _path_draws(1, 0, 1000, 8)
+        _, v = draws(1, 0, 1000, 8)
         assert np.all((v > 0.0) & (v < 1.0))
 
 
@@ -132,7 +148,7 @@ class TestRbbPrice:
         contract = uoc(1e12)
         ind = rbb_price(BS07, contract, McConfig(n, m, seed, Estimator.INDICATOR))
         cond = rbb_price(BS07, contract, McConfig(n, m, seed, Estimator.CONDITIONAL_PRODUCT))
-        z, _ = _path_draws(seed, 0, m, n)
+        z, _ = draws(seed, 0, m, n)
         terminal = euler_path(BS07, n, 1.0, z)[:, -1]
         plain = math.exp(-0.15) * float(np.mean(np.maximum(terminal - 100.0, 0.0)))
         assert ind.price == pytest.approx(plain, rel=1e-12)
@@ -186,3 +202,174 @@ class TestVarianceReduction:
         var_ind = rbb_price(BS07, uoc(95.0), replace(cfg, estimator=Estimator.INDICATOR)).sample_variance
         var_cond = rbb_price(BS07, uoc(95.0), replace(cfg, estimator=Estimator.CONDITIONAL_PRODUCT)).sample_variance
         assert var_ind == 0.0 and var_cond == 0.0
+
+
+LEVELS = {BarrierType.UP_AND_OUT: (105.0, 112.0, 120.0, 130.0), BarrierType.DOWN_AND_OUT: (85.0, 92.0, 97.0)}
+
+
+def _hex_on_cores(monkeypatch, cores, price, piece_doubles=_PIECE_DOUBLES):
+    """``price()``'s numbers by ``float.hex``, with every block of two or more paths split on two cores."""
+    monkeypatch.setattr(mc_pricer, "_cores", lambda: cores)
+    monkeypatch.setattr(mc_pricer, "_PIECE_DOUBLES", piece_doubles)
+    monkeypatch.setattr(mc_pricer, "_SPLIT_ROWS", 1)
+    return [x.hex() for x in price()]
+
+
+class TestPieces:
+    @pytest.mark.parametrize("n_steps", [1, 20, 100, 128])
+    def test_blocks_split_in_halves_up_to_128_steps(self, n_steps):
+        rows = _piece_rows(10**6, n_steps)
+        assert _pieces(_BLOCK, rows) == [(0, _BLOCK // 2), (_BLOCK // 2, _BLOCK)]
+        assert _pieces(4097, rows) == [(0, 2049), (2049, 4097)]
+        assert _pieces(1, _piece_rows(1, n_steps)) == [(0, 1)]
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 4097, 33333, 10**6])
+    @pytest.mark.parametrize("n_steps", [129, 300, 1000, 10_000, 2**21, 2**22])
+    def test_pieces_cover_every_block_within_the_cap(self, n_paths, n_steps):
+        rows = _piece_rows(n_paths, n_steps)
+        assert rows * 2 * n_steps <= max(_PIECE_DOUBLES, 2 * n_steps)  # a piece holds one path at least
+        # the first block and the last, which may be short
+        for m in {min(n_paths, _BLOCK), n_paths % _BLOCK or _BLOCK}:
+            pieces = _pieces(m, rows)
+            assert [a for a, _ in pieces] == [0] + [b for _, b in pieces[:-1]] and pieces[-1][1] == m
+            assert max(b - a for a, b in pieces) <= rows
+            assert len(pieces) >= min(m, 2)
+
+
+class TestTwoCores:
+    """Each path's draws are addressed by its index, so the pool changes no bit."""
+
+    @pytest.mark.parametrize("n_paths", [_BLOCK + 4097, 33333, 1, 2])
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    @pytest.mark.parametrize("barrier_type", list(BarrierType))
+    def test_prices_are_identical_on_one_and_two_cores(self, monkeypatch, n_paths, estimator, barrier_type):
+        n = 9
+        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, LEVELS[barrier_type][0], 1.0)
+        cfg = McConfig(n, n_paths, 101, estimator)
+
+        def price():
+            results = rbb_price_levels(PCEV07, contract, LEVELS[barrier_type], cfg)
+            return [x for r in results for x in (r.price, r.sample_variance)]
+
+        pooled = _hex_on_cores(monkeypatch, 2, price)
+        assert pooled == _hex_on_cores(monkeypatch, 1, price)
+        # pieces of at most 700 paths: many per block, alternating between the threads
+        assert pooled == _hex_on_cores(monkeypatch, 2, price, piece_doubles=700 * 2 * n)
+        if n_paths > 1:
+            assert float.fromhex(pooled[-2]) > 0.0 and float.fromhex(pooled[-1]) > 0.0
+
+    def test_table_four_mc_columns_are_identical_on_one_and_two_cores(self, monkeypatch):
+        def price():
+            rows = run_table(4, budget=60, mc_paths=_BLOCK + 4097, reference_paths=20_000, reference_steps=30)
+            return [x for r in rows for x in (r.reference_price, r.rbb_price, r.rbb_variance)]
+
+        assert _hex_on_cores(monkeypatch, 2, price) == _hex_on_cores(monkeypatch, 1, price)
+
+    def test_every_path_is_drawn_once_by_two_threads(self, monkeypatch):
+        monkeypatch.setattr(mc_pricer, "_cores", lambda: 2)
+        monkeypatch.setattr(mc_pricer, "_PIECE_DOUBLES", 1000 * 2 * 7)
+        monkeypatch.setattr(mc_pricer, "_SPLIT_ROWS", 1)
+        drawn = []
+        original = mc_pricer._path_draws
+
+        def recorder(seed, first_path, out):
+            drawn.append((first_path, out.shape[0], threading.current_thread()))
+            return original(seed, first_path, out)
+
+        monkeypatch.setattr(mc_pricer, "_path_draws", recorder)
+        rbb_price(PCEV07, uoc(120.0), McConfig(7, 40001, 3))
+        drawn.sort(key=lambda d: d[0])
+        assert [f for f, _, _ in drawn] == [0] + list(np.cumsum([c for _, c, _ in drawn[:-1]]))
+        assert sum(c for _, c, _ in drawn) == 40001 and max(c for _, c, _ in drawn) <= 1000
+        assert len({thread for _, _, thread in drawn}) == 2
+        assert mc_pricer._worker is quant_pricer._worker  # one worker thread for the library
+
+    def test_pieces_under_the_split_size_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(mc_pricer, "_cores", lambda: 2)
+        threads = set()
+        original = mc_pricer._path_draws
+
+        def recorder(seed, first_path, out):
+            threads.add(threading.current_thread())
+            return original(seed, first_path, out)
+
+        monkeypatch.setattr(mc_pricer, "_path_draws", recorder)
+        split = mc_pricer._SPLIT_ROWS
+        rbb_price(PCEV07, uoc(120.0), McConfig(7, 2 * split - 2, 3))  # halves of split - 1 paths
+        assert threads == {threading.current_thread()}
+        rbb_price(PCEV07, uoc(120.0), McConfig(7, 2 * split - 1, 3))  # a first half of split paths
+        assert len(threads) == 2
+
+
+def test_concurrent_callers_share_the_one_worker(monkeypatch):
+    """Calls from more threads than cores queue their pieces on the one worker and keep their bits."""
+    monkeypatch.setattr(mc_pricer, "_cores", lambda: 2)
+    monkeypatch.setattr(mc_pricer, "_PIECE_DOUBLES", 300 * 2 * 6)
+    monkeypatch.setattr(mc_pricer, "_SPLIT_ROWS", 1)
+    cfgs = [McConfig(6, 3000 + 97 * i, 40 + i, list(Estimator)[i % 2]) for i in range(6)]
+
+    def price(cfg):
+        return [r.price.hex() for r in rbb_price_levels(PCEV07, uoc(115.0), [110.0, 120.0], cfg)]
+
+    expected = [price(cfg) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(cfgs)) as callers:
+            got = list(callers.map(price, cfgs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def _price_in_child(conn):
+    cfg = McConfig(5, 3000, 9, Estimator.CONDITIONAL_PRODUCT)
+    conn.send([r.price.hex() for r in rbb_price_levels(PCEV07, uoc(110.0), [110.0, 120.0], cfg)])
+    conn.close()
+
+
+def test_forked_child_prices_after_the_parent_used_the_pool(monkeypatch):
+    """A forked child has no worker thread; it must make its own pool, not wait on the parent's."""
+    monkeypatch.setattr(mc_pricer, "_cores", lambda: 2)
+    monkeypatch.setattr(mc_pricer, "_SPLIT_ROWS", 1)
+    cfg = McConfig(5, 3000, 9, Estimator.CONDITIONAL_PRODUCT)
+    expected = [r.price.hex() for r in rbb_price_levels(PCEV07, uoc(110.0), [110.0, 120.0], cfg)]
+    assert mc_pricer._worker.cache_info().currsize == 1
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_price_in_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child did not price within 60 s"
+        assert receive.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert child.exitcode == 0
+
+
+def test_draw_memory_flat_in_steps(monkeypatch):
+    """The pieces' draws stay within the cap, so the peak of a call does not grow with n.
+
+    The cap is scaled down to the halves of 4096 paths at 100 steps, so
+    that a quick call shows what the real cap does to 32768-path blocks
+    beyond 128 steps.
+    """
+    monkeypatch.setattr(mc_pricer, "_cores", lambda: 2)
+    monkeypatch.setattr(mc_pricer, "_PIECE_DOUBLES", 2048 * 2 * 100)
+    monkeypatch.setattr(mc_pricer, "_SPLIT_ROWS", 1)
+    rbb_price(BS07, uoc(120.0), McConfig(1, 2, 5))  # the worker thread exists before the measurement
+    peaks = {}
+    for n in (100, 1000):
+        tracemalloc.start()
+        try:
+            rbb_price(BS07, uoc(120.0), McConfig(n, 4096, 5))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    draws_at_100 = 4096 * 2 * 100 * 8
+    assert draws_at_100 <= peaks[100] < 1.5 * draws_at_100
+    assert peaks[1000] <= 1.1 * peaks[100]  # the whole draws at n = 1000 would take ten times as much

@@ -224,3 +224,14 @@ class TestConfigBlocks:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_dict({"model": "heston"})
+
+    def test_key_of_the_other_kind_fails(self):
+        block = {"model": "bs", "r": 0.15, "sigma": 0.07, "x0": 100, "vartheta": 5.0}
+        with pytest.raises(ValueError, match=r"^unknown model key\(s\) 'vartheta'; accepted: model, r, sigma, x0$"):
+            model_from_dict(block)
+
+    def test_missing_key_is_named(self):
+        block = {"model": "pcev", "r": 0.15, "vartheta": 0.7, "x0": 100}
+        message = r"^missing model key\(s\) 'delta'; accepted: model, r, vartheta, delta, x0$"
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(block)
