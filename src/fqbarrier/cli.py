@@ -38,7 +38,7 @@ _RESULT_FIELDS = ["method", "price", "sample_variance", "std_error", "elapsed"]
 _CONFIG_KEYS = ("model", "contract", "method", "params")
 # every params key some method reads; one set for all, so that one config
 # serves price-quant and price-mc alike
-_PARAM_KEYS = ("steps", "budget", "substeps", "dump_grids", "dump_transitions", "paths", "seed", "estimator")
+_PARAM_KEYS = ("steps", "budget", "dump_grids", "dump_transitions", "paths", "seed", "estimator")
 _CONTRACT_KEYS = ("type", "payoff", "strike", "barrier", "maturity")
 _NUMBER_KEYS = {"model": ("r", "sigma", "vartheta", "delta", "x0"), "contract": ("strike", "barrier", "maturity")}
 
@@ -123,11 +123,10 @@ def run_config(config: dict) -> PricingResult:
     params = config.get("params", {})
 
     if method == "quant":
-        budget = _int_param(params, "budget", 1000)
-        steps, substeps = _int_param(params, "steps", 20), _int_param(params, "substeps", 4)
+        budget, steps = _int_param(params, "budget", 1000), _int_param(params, "steps", 20)
         start = time.perf_counter()
         quantizer = brownian_product_quantizer(budget, contract.maturity)
-        grid = quantize_price_process(model, quantizer, steps, substeps)
+        grid = quantize_price_process(model, quantizer, steps)
         if params.get("dump_grids"):
             dump_grids(grid, params["dump_grids"])
         if params.get("dump_transitions"):
@@ -198,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--steps", type=int)
     p.add_argument("--budget", type=int)
-    p.add_argument("--substeps", type=int)
     p.add_argument("--dump-grids", dest="dump_grids", help="CSV dump of the price grids")
     p.add_argument("--dump-transitions", dest="dump_transitions", help="CSV dump of the transition matrices")
 
@@ -217,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--substeps", type=int, default=4)
     p.add_argument("--rbb-paths", type=int, help="override the Monte Carlo path count")
     p.add_argument("--ref-paths", type=int, help="override the reference path count")
     p.add_argument("--ref-steps", type=int, help="override the reference step count")
@@ -251,7 +248,6 @@ def main(argv=None) -> int:
                 args.table,
                 seed=args.seed,
                 budget=args.budget,
-                substeps=args.substeps,
                 mc_paths=args.rbb_paths,
                 reference_paths=args.ref_paths,
                 reference_steps=args.ref_steps,
@@ -272,7 +268,6 @@ def main(argv=None) -> int:
                 {
                     "steps": "steps",
                     "budget": "budget",
-                    "substeps": "substeps",
                     "dump_grids": "dump_grids",
                     "dump_transitions": "dump_transitions",
                 },

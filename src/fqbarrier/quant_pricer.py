@@ -285,45 +285,45 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
         blocks = [(i, a, z) for i, a, z in bands if a < z]
         survival = _Survival(src, gn[lo:hi], np.asarray(model.diffusion(src)), contract, n, grid.horizon)
         step = (law, gn, lo, hi, survival, pi)
-        nxt = np.zeros(hi - lo)
         if len(shares) == 2 and len(blocks) >= _SPLIT_BLOCKS:
-            _push_in_two_shares(step, blocks, shares, nxt)
+            masses = _push_in_two_shares(step, blocks, shares)
         else:
-            _push_blocks(step, blocks, shares[0], nxt)
+            masses = _push_blocks(step, blocks, shares[0])
+        nxt = np.zeros(hi - lo)
+        for cols, mass in masses:  # in block order, on one share or two
+            nxt[cols] += mass
         src, pi = gn[lo:hi], nxt
     return pi, src
 
 
-def _push_in_two_shares(step, blocks, shares, nxt) -> None:
+def _push_in_two_shares(step, blocks, shares):
     """Push the blocks in two shares of about equal CDF cost: the first here, the second on the worker.
 
-    The worker's masses are added after this thread's, in block order, so
-    each entry of ``nxt`` is summed in the order ``_push_blocks`` sums it.
+    Yields the (band, mass) pairs of this thread's share as it prices them
+    and then the worker's, so in block order, as ``_push_blocks`` yields
+    them on one share.
     """
     cost = np.cumsum([z - a for _, a, z in blocks])
     cut = min(int(np.searchsorted(cost, 0.5 * cost[-1])) + 1, len(blocks) - 1)
-    held = _worker().submit(_push_blocks, step, blocks[cut:], shares[1])
+    held = _worker().submit(list, _push_blocks(step, blocks[cut:], shares[1]))
     try:
-        _push_blocks(step, blocks[:cut], shares[0], nxt)
+        yield from _push_blocks(step, blocks[:cut], shares[0])
     finally:
         masses = held.result()  # the worker is done with its arrays even if this thread raised
-    for cols, mass in masses:
-        nxt[cols] += mass
+    yield from masses
 
 
-def _push_blocks(step, blocks, arrays, nxt=None):
+def _push_blocks(step, blocks, arrays):
     """Price the row blocks ``blocks``, triples (first row, band start, band stop), of one step.
 
     ``step`` is (law, next grid, live range lo, hi, survival, measure) and
-    ``arrays`` the share's CDF work and block arrays.  With ``nxt`` each
-    block's mass ``pi[rows] @ p`` is added into its band of ``nxt``;
-    without, the blocks' (band, mass) pairs are returned in block order.
-    This may run on the pool worker, so it calls no module attribute that
-    the benchmark tracer wraps.
+    ``arrays`` the share's CDF work and block arrays.  Yields each block's
+    band of the next date's live cells and its mass ``pi[rows] @ p`` there,
+    in block order.  This may run on the pool worker, so it calls no module
+    attribute that the benchmark tracer wraps.
     """
     law, gn, lo, hi, survival, pi = step
     work, kernel = arrays
-    masses = []
     for i, a, z in blocks:
         rows = slice(i, min(i + _BAND_ROWS, pi.size))
         m = rows.stop - rows.start
@@ -339,11 +339,7 @@ def _push_blocks(step, blocks, arrays, nxt=None):
             z = hi  # a spread too small for the cut's margin: take the rest of the live cells
         cols = slice(a - lo, z - lo)
         survival.damp(p, rows, cols, spare=work)  # the CDF is spent
-        if nxt is None:
-            masses.append((cols, pi[rows] @ p))
-        else:
-            nxt[cols] += pi[rows] @ p
-    return masses
+        yield cols, pi[rows] @ p
 
 
 def price_barrier_quant(
@@ -351,12 +347,11 @@ def price_barrier_quant(
     contract: BarrierContract,
     n_steps: int,
     budget: int = 1000,
-    substeps: int = 4,
 ) -> PricingResult:
     """End-to-end quantization price: build paths and grids, then induct under the model's one-step law."""
     start = time.perf_counter()
     quantizer = brownian_product_quantizer(budget, contract.maturity)
-    grid = quantize_price_process(model, quantizer, n_steps, substeps)
+    grid = quantize_price_process(model, quantizer, n_steps)
     result = price_barrier(model, contract, grid)
     result.elapsed = time.perf_counter() - start
     return result

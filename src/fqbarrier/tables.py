@@ -5,8 +5,10 @@ rate 0.15, maturity 1): three Black-Scholes configurations priced against
 the closed form, and two pseudo-CEV configurations priced against a
 high-resolution Monte Carlo reference (1e7 paths, 100 steps).  Each row
 reports the reference price, the bridge Monte Carlo price and per-sample
-variance, and the quantization price with its per-row pricing time
-(transition probabilities included: each row builds its own).
+variance, and the quantization price with its per-row pricing time.  The
+rows share one quantizer and one price grid; each row's time is its
+``price_barrier`` call, whose transition probabilities depend on the
+barrier through the live cells, so each row evaluates its own.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ def run_table(
     table_id: int,
     seed: int = DEFAULT_SEED,
     budget: int = 1000,
-    substeps: int = 4,
     mc_paths: int | None = None,
     reference_paths: int | None = None,
     reference_steps: int | None = None,
@@ -111,7 +112,7 @@ def run_table(
     mc = rbb_price_levels(model, template, levels, mc_cfg)
 
     quantizer = brownian_product_quantizer(budget, _MATURITY)
-    grid = quantize_price_process(model, quantizer, spec.n_steps, substeps)
+    grid = quantize_price_process(model, quantizer, spec.n_steps)
 
     rows = []
     for i, lv in enumerate(levels):

@@ -135,7 +135,7 @@ class TestPriceCommands:
 
     @pytest.mark.parametrize(
         "method, key, value",
-        [("quant", "steps", 2.9), ("quant", "budget", 12.7), ("quant", "substeps", 1.5),
+        [("quant", "steps", 2.9), ("quant", "budget", 12.7),
          ("rbb", "paths", 1000.5), ("rbb", "seed", "9"), ("rbb", "steps", True)],
     )
     def test_run_config_rejects_non_integer_params(self, bs_config, method, key, value):
@@ -216,7 +216,7 @@ class TestPriceCommands:
 
     def test_one_config_serves_both_methods(self, bs_config):
         path, cfg = bs_config
-        cfg["params"] = {"steps": 4, "budget": 12, "substeps": 4, "paths": 2000, "seed": 5, "estimator": "conditional"}
+        cfg["params"] = {"steps": 4, "budget": 12, "paths": 2000, "seed": 5, "estimator": "conditional"}
         path.write_text(json.dumps(cfg))
         assert main(["price-quant", "--config", str(path)]) == 0
         assert main(["price-mc", "--config", str(path)]) == 0
@@ -225,6 +225,21 @@ class TestPriceCommands:
         with pytest.raises(SystemExit) as exc:
             main(["price-quant", "--config", str(bs_config[0]), "--cdf-mode", "euler"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["price-quant", "--config", "cfg.json"], ["table", "--table", "1"]],
+                             ids=["price-quant", "table"])
+    def test_substeps_flag_is_gone(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--substeps", "8"])
+        assert exc.value.code == 2
+
+    def test_substeps_param_is_rejected(self, bs_config, capsys):
+        path, cfg = bs_config
+        cfg["params"] = {"steps": 3, "budget": 6, "substeps": 4}
+        path.write_text(json.dumps(cfg))
+        assert main(["price-quant", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown params key(s) 'substeps'") and err.count("\n") == 1
 
     def test_unknown_method(self, bs_config):
         _, cfg = bs_config

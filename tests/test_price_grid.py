@@ -1,5 +1,7 @@
 import csv
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.models import BlackScholes, PseudoCEV
 from fqbarrier.price_grid import RK6_A, RK6_B, RK6_C, dump_grids, quantize_price_process
 from fqbarrier.quant_pricer import price_barrier_quant
-from tests.conftest import BS07
+from tests.conftest import BS07, GRID_TOL, PCEV07, PCEV10, finer_grid, grid_log_error
 
 
 def _rk6_scalar(f, y0, t1, nsteps):
@@ -117,11 +119,74 @@ class _ExplodingModel:
             return 1e3 * np.exp(y), 0.0
 
 
+class _RunawayModel:
+    """A constant drift of 1 in log x: every step is accepted, and x overflows after t = 705."""
+
+    x0 = 100.0
+
+    def log_coefficients(self, y):
+        return 1.0, 0.0
+
+
 class TestIntegrationFailures:
     def test_nonfinite_state_raises(self):
         q = build_product_quantizer([2], horizon=1.0)
+        start = time.perf_counter()
         with pytest.raises(FloatingPointError, match="non-finite"):
             quantize_price_process(_ExplodingModel(), q, 4, substeps=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_exploding_field_passes_the_cap(self):
+        # |df/dy| = |f| = 1e5 at x0 = 100: a substep would need h <= 2.5e-6
+        q = build_product_quantizer([2], horizon=1.0)
+        with pytest.raises(FloatingPointError, match="path 0 is too stiff or too fast to integrate at t=0: at 65536 "):
+            quantize_price_process(_ExplodingModel(), q, 4, substeps=1)
+
+    def test_overflow_raises_at_the_end_of_its_interval(self):
+        q = build_product_quantizer([2], horizon=1000.0)
+        with pytest.raises(FloatingPointError, match="path 0 became non-finite at t=750 "), np.errstate(over="ignore"):
+            quantize_price_process(_RunawayModel(), q, 4)
+
+
+class _CountingModel:
+    """Forwards ``log_coefficients`` to ``model`` and counts the calls."""
+
+    def __init__(self, model):
+        self.model, self.x0, self.calls = model, model.x0, 0
+
+    def log_coefficients(self, y):
+        self.calls += 1
+        return self.model.log_coefficients(y)
+
+
+# pseudo-CEV fields on which a fixed 4 substeps per interval is 9.4e-5 off,
+# raises "non-finite" twice and is 100% off
+STIFF_MODELS = [
+    (PseudoCEV(0.0, 5.0, 0.9, 1.0), 5.0, 20, 1000),
+    (PseudoCEV(0.0, 20.0, 0.5, 1.0), 30.0, 2, 60),
+    (PseudoCEV(0.0, 20.0, 0.05, 1.0), 30.0, 2, 60),
+    (PseudoCEV(0.0, 12.7, 0.98, 1.0), 22.8, 25, 100),
+]
+
+
+class TestStiffnessControl:
+    @pytest.mark.parametrize("model", [BS07, PCEV07, PCEV10], ids=["bs07", "pcev07", "pcev10"])
+    @pytest.mark.parametrize("n_steps", [20, 80])
+    def test_table_models_keep_the_starting_count(self, bq966, model, n_steps):
+        counting = _CountingModel(model)
+        quantize_price_process(counting, bq966, n_steps)
+        # 7 stages and the stiffness estimate's one call per substep, 4 substeps per interval
+        assert counting.calls == 8 * 4 * n_steps
+
+    @pytest.mark.parametrize("model, maturity, n_steps, budget", STIFF_MODELS,
+                             ids=["vartheta5", "vartheta20-delta0.5", "vartheta20-delta0.05", "vartheta12.7"])
+    def test_stiff_fields_match_four_times_the_steps(self, model, maturity, n_steps, budget):
+        q = brownian_product_quantizer(budget, maturity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = quantize_price_process(model, q, n_steps)
+        assert np.all(np.isfinite(grid.grids))
+        assert grid_log_error(grid, finer_grid(model, q, n_steps)) < GRID_TOL
 
 
 class TestLogCoordinates:

@@ -1,23 +1,24 @@
 """Property tests of the quantization pricer over drawn contracts and small grids.
 
 Hypothesis draws the model, the barrier side and payoff, the maturity, the
-step count, the quantizer budget and two barrier levels.  The profile
-loaded in conftest.py derandomizes the draw, so every run checks the same
-examples.
+step count, the quantizer budget and two barrier levels; and, for the
+grids alone, pseudo-CEV fields from mild to stiff.  The profile loaded in
+conftest.py derandomizes the draw, so every run checks the same examples.
 """
 
 import math
 
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
-from fqbarrier.models import BlackScholes
+from fqbarrier.models import BlackScholes, PseudoCEV
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import forward_induction, price_barrier
 from fqbarrier.transitions import transition_matrices
-from tests.conftest import BS07, PCEV07, PCEV10
+from tests.conftest import BS07, GRID_TOL, PCEV07, PCEV10, finer_grid, grid_log_error
 
 MODELS = [BS07, BlackScholes(r=0.05, sigma=0.3, x0=100.0), PCEV07, PCEV10]
 
@@ -50,3 +51,26 @@ def test_price_bounded_by_vanilla_and_monotone_in_barrier(
         assert low <= high * (1.0 + 1e-12)
     else:
         assert high <= low * (1.0 + 1e-12)
+
+
+# 50 draws rather than 100: a stiff draw and its reference take up to a few seconds
+@settings(max_examples=50)
+@given(
+    r=st.floats(-1.0, 1.0),
+    vartheta=st.floats(0.1, 20.0),
+    delta=st.floats(0.01, 0.99),
+    log10_x0=st.floats(-3.0, 3.0),
+    maturity=st.floats(0.01, 30.0),
+    n_steps=st.integers(1, 4),
+    budget=st.integers(2, 12),
+)
+def test_pcev_grid_matches_four_times_the_steps(r, vartheta, delta, log10_x0, maturity, n_steps, budget):
+    model = PseudoCEV(r, vartheta, delta, 10.0**log10_x0)
+    quantizer = brownian_product_quantizer(budget, maturity)
+    try:
+        grid = quantize_price_process(model, quantizer, n_steps)
+    except FloatingPointError as exc:  # the substep cap, and only it
+        assert "too stiff or too fast to integrate" in str(exc)
+        return
+    assert np.all(np.isfinite(grid.grids))
+    assert grid_log_error(grid, finer_grid(model, quantizer, n_steps)) < GRID_TOL
