@@ -15,6 +15,7 @@ is a weighted family of smooth paths, one per combination of grid points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -87,26 +88,38 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
     asymptotic d(N) ~ (sqrt(3) pi / 2) / N^2 is not used: it is not a
     lower bound at finite N.
 
-    Distortions and tail objectives are memoized for this search only; the
-    grids it solves are not kept, so a cold search holds no more than one
-    grid at a time.
+    Distortions and tail objectives are memoized for this search only.
+    The first read of an unsolved size N solves every unsolved size from 2
+    to max(N, isqrt(budget) + 2) in one batched Newton run, which covers
+    every size the search reads at budgets up to at least 10^4 (2..33 at
+    budget 1000, 2..100 at 10^4).  So a cold search holds about
+    sqrt(budget) small grids at once (5252 points, 84 KB with their
+    weights, at 10^4) and keeps only their distortions.
     """
     if budget < 2:
         raise ValueError("budget must be >= 2")
     max_len = int(math.floor(math.log2(budget)))
 
-    lam = np.array([kl_eigenvalue(k, 1.0) for k in range(1, max_len + 1)])
-    cumlam = np.concatenate(([0.0], np.cumsum(lam)))
+    # Python floats: the search does scalar arithmetic only
+    lam = [kl_eigenvalue(k, 1.0) for k in range(1, max_len + 1)]
+    cumlam = [0.0, *itertools.accumulate(lam)]
 
     best_obj = math.inf
     best_factors: list[int] = []
     distortions: dict[int, float] = {}
     tails: dict[tuple[int, int, int], float] = {}
 
+    batch_top = math.isqrt(budget) + 2
+
     def distortion_at(levels: int) -> float:
         if levels not in distortions:
-            # through the module attribute, so perfbench's tracer sees each solve
-            distortions[levels] = gaussian.optimal_normal_quantizer(levels).distortion
+            # through the module attribute, so a test or a tracer sees each batch
+            solved = gaussian.solve_normal_quantizers(
+                n for n in range(2, max(levels, batch_top) + 1) if n not in distortions
+            )
+            distortions.update((n, q.distortion) for n, q in solved.items() if isinstance(q, GaussianQuantizer))
+            if levels not in distortions:
+                raise solved[levels]
         return distortions[levels]
 
     def tail(pos: int, room: int, cap: int) -> float:
@@ -131,6 +144,7 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
         f_max = min(cap, budget // prod)
         if f_max < 2 or pos >= max_len:
             return
+        lam_here, lam_before, lam_through = lam[pos], cumlam[pos], cumlam[pos + 1]
         # both bounds tighten as f grows, so the first one that fails
         # ends the loop
         for f in range(2, f_max + 1):
@@ -139,22 +153,23 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
             # length at pos + 1 + log2(room), and each factor slot can
             # claim at most its full eigenvalue (d >= 0)
             reach = min(max_len, pos + 1 + int(math.log2(room)))
-            if partial - (cumlam[reach] - cumlam[pos]) >= best_obj:
+            if partial - (cumlam[reach] - lam_before) >= best_obj:
                 break
             # exact tail bound: past f > room the cap f no longer binds the
             # deeper factors, and d(f) >= 0 covers this slot
-            if f > room and partial - lam[pos] + tail(pos + 1, room, room) >= best_obj:
+            if f > room and partial - lam_here + tail(pos + 1, room, room) >= best_obj:
                 break
-            obj = partial + lam[pos] * (distortion_at(f) - 1.0)
+            delta = distortion_at(f) - 1.0
+            obj = partial + lam_here * delta
             # every deeper factor is <= f, so it contributes >= lam*(d(f)-1)
-            subtree_bound = obj + (cumlam[reach] - cumlam[pos + 1]) * (distortion_at(f) - 1.0)
-            prefix.append(f)
+            subtree_bound = obj + (cumlam[reach] - lam_through) * delta
             if obj < best_obj:
                 best_obj = obj
-                best_factors = list(prefix)
+                best_factors = [*prefix, f]
             if subtree_bound < best_obj:
+                prefix.append(f)
                 extend(prefix, prod * f, obj)
-            prefix.pop()
+                prefix.pop()
 
     extend([], 1, 0.5)
     factors = tuple(best_factors)

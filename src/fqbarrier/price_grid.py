@@ -159,7 +159,8 @@ def quantize_price_process(
                 )
             count *= 2
         y = y_next
-        x = np.exp(y)
+        with np.errstate(over="ignore"):  # an overflow raises just below, naming the path
+            x = np.exp(y)
         bad = ~np.isfinite(x)
         if np.any(bad):
             m = int(np.argmax(bad))

@@ -14,7 +14,7 @@ from fqbarrier.brownian import (
     optimal_decomposition,
     save_paths,
 )
-from fqbarrier.gaussian import cached_normal_quantizer, lloyd_step
+from fqbarrier.gaussian import LloydConvergenceError, cached_normal_quantizer, lloyd_step
 
 # frozen independent evaluations (50-digit arithmetic)
 PATH_VALUE_T1 = 0.7183484885006662
@@ -128,17 +128,54 @@ class TestDecompositionSearch:
             assert deco.residual_distortion == pytest.approx(0.5 + tail_obj, rel=1e-12, abs=0)
 
     def test_cold_search_solves_few_small_grids(self, monkeypatch):
-        solved = []
-        solve = gaussian.optimal_normal_quantizer
+        batches = []
+        solve = gaussian.solve_normal_quantizers
 
-        def counting(levels):
-            solved.append(levels)
-            return solve(levels)
+        def counting(sizes):
+            batches.append(list(sizes))
+            return solve(batches[-1])
 
-        monkeypatch.setattr(gaussian, "optimal_normal_quantizer", counting)
+        monkeypatch.setattr(gaussian, "solve_normal_quantizers", counting)
         assert optimal_decomposition(10_000).factors == (26, 8, 4, 3, 2, 2)
+        solved = [n for batch in batches for n in batch]
         assert len(solved) < 150
         assert max(solved) <= 200
+        assert len(batches) <= 2
+
+    # residual_distortion by float.hex, recorded from the search that
+    # solved one grid size at a time
+    @pytest.mark.parametrize(
+        "budget, factors, residual",
+        [
+            (1000, (23, 7, 3, 2), "0x1.205081faf0f8cp-5"),
+            (4000, (23, 7, 4, 3, 2), "0x1.e1a93503f46f8p-6"),
+            (8000, (23, 7, 4, 3, 2, 2), "0x1.beb98e0bd7268p-6"),
+            (10_000, (26, 8, 4, 3, 2, 2), "0x1.b11c907b16f30p-6"),
+        ],
+    )
+    def test_search_matches_the_one_size_solver(self, budget, factors, residual):
+        deco = optimal_decomposition(budget)
+        assert deco.factors == factors
+        assert deco.residual_distortion.hex() == residual
+
+    def test_unconverged_size_raises_only_when_read(self, monkeypatch):
+        solve = gaussian.solve_normal_quantizers
+
+        def failing(n_bad):
+            def solve_but(sizes):
+                out = solve(sizes)
+                if n_bad in out:
+                    out[n_bad] = LloydConvergenceError(n_bad, 1.0, 0)
+                return out
+
+            return solve_but
+
+        # budget 4000 solves sizes 2..65 in its batch and reads 2..63
+        monkeypatch.setattr(gaussian, "solve_normal_quantizers", failing(65))
+        assert optimal_decomposition(4000).factors == (23, 7, 4, 3, 2)
+        monkeypatch.setattr(gaussian, "solve_normal_quantizers", failing(23))
+        with pytest.raises(LloydConvergenceError, match="N=23:"):
+            optimal_decomposition(4000)
 
     def test_residual_decreases_with_budget(self):
         objs = [optimal_decomposition(b).residual_distortion for b in (10, 100, 966)]

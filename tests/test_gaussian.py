@@ -13,6 +13,7 @@ from fqbarrier.gaussian import (
     optimal_normal_quantizer,
     quantizer_weights,
     save_quantizer,
+    solve_normal_quantizers,
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -61,12 +62,13 @@ class TestOptimalQuantizer:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
-        newton_step = gaussian._newton_step
-        # a step that reports the residual but never moves the grid
-        monkeypatch.setattr(gaussian, "_newton_step", lambda x: (x, newton_step(x)[1]))
+        newton_step = gaussian._batch_newton_step
+        # a step that reports the residuals but never moves the grids
+        monkeypatch.setattr(gaussian, "_batch_newton_step", lambda x, starts: (x, newton_step(x, starts)[1]))
         with pytest.raises(LloydConvergenceError) as err:
             optimal_normal_quantizer(50)
         assert err.value.residual > 0.0
+        assert err.value.n_levels == 50
 
     def test_stationarity_at_large_sizes(self):
         # Phi(hi) - Phi(lo) cancels in the upper tail from about N=689 on
@@ -98,6 +100,87 @@ class TestOptimalQuantizer:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             optimal_normal_quantizer(0)
+
+
+def _same_grid(a, b):
+    return (
+        a.n_levels == b.n_levels
+        and a.points.tobytes() == b.points.tobytes()
+        and a.weights.tobytes() == b.weights.tobytes()
+        and a.distortion.hex() == b.distortion.hex()
+    )
+
+
+# d(N) by float.hex, recorded from the one-size-at-a-time Newton solver
+# that the batched one replaced
+FROZEN_DISTORTIONS = {
+    2: "0x1.7419f246c6efcp-2",
+    3: "0x1.8579f778f193bp-3",
+    7: "0x1.68737d7afa7c6p-5",
+    23: "0x1.370c037375364p-8",
+    33: "0x1.35376c5111290p-9",
+    64: "0x1.51c46258b944cp-11",
+    100: "0x1.17ab042915866p-12",
+    200: "0x1.1a683e78cd6a2p-14",
+    1000: "0x1.6c679762694e9p-19",
+}
+
+
+class TestBatchSolve:
+    SIZES = range(1, 201)
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        return {n: optimal_normal_quantizer(n) for n in self.SIZES}
+
+    def test_one_batch_equals_each_size_alone(self, alone):
+        batch = solve_normal_quantizers(self.SIZES)
+        assert list(batch) == list(self.SIZES)
+        assert all(_same_grid(batch[n], alone[n]) for n in self.SIZES)
+
+    def test_shuffled_batch_with_repeats_equals_each_size_alone(self, alone):
+        sizes = [*self.SIZES, *range(1, 201, 3), 200, 1]
+        np.random.default_rng(5).shuffle(sizes)
+        batch = solve_normal_quantizers(sizes)
+        assert list(batch) == list(dict.fromkeys(sizes))
+        assert all(_same_grid(batch[n], alone[n]) for n in self.SIZES)
+
+    def test_every_batched_grid_is_stationary(self):
+        batch = solve_normal_quantizers(self.SIZES)
+        worst = {n: _residual(q.points) for n, q in batch.items()}
+        assert max(worst.values()) < 1e-9, max(worst.items(), key=lambda kv: kv[1])
+
+    @pytest.mark.parametrize("n, value", FROZEN_DISTORTIONS.items())
+    def test_distortion_matches_the_one_size_solver(self, n, value):
+        assert optimal_normal_quantizer(n).distortion.hex() == value
+        assert solve_normal_quantizers([2, n, 3])[n].distortion.hex() == value
+
+    def test_unconverged_size_fails_alone_and_only_when_read(self, monkeypatch):
+        alone = {n: optimal_normal_quantizer(n) for n in (10, 100)}
+        newton_step = gaussian._batch_newton_step
+
+        def stall_fifty(x, starts):
+            x_next, residual = newton_step(x, starts)
+            bounds = [0, *starts, len(x)]
+            for a, b in zip(bounds, bounds[1:]):
+                if b - a == 50:
+                    x_next[a:b] = x[a:b]
+            return x_next, residual
+
+        monkeypatch.setattr(gaussian, "_batch_newton_step", stall_fifty)
+        batch = solve_normal_quantizers([10, 50, 100])
+        assert isinstance(batch[50], LloydConvergenceError)
+        assert batch[50].n_levels == 50 and batch[50].residual > 1e-9
+        assert _same_grid(batch[10], alone[10]) and _same_grid(batch[100], alone[100])
+        with pytest.raises(LloydConvergenceError, match="N=50:"):
+            optimal_normal_quantizer(50)
+
+    def test_empty_and_invalid_batches(self):
+        assert solve_normal_quantizers([]) == {}
+        with pytest.raises(ValueError):
+            solve_normal_quantizers([3, 0])
+        with pytest.raises(TypeError):
+            solve_normal_quantizers([2.5])
 
 
 class TestLloydIteration:

@@ -144,8 +144,10 @@ class TestIntegrationFailures:
 
     def test_overflow_raises_at_the_end_of_its_interval(self):
         q = build_product_quantizer([2], horizon=1000.0)
-        with pytest.raises(FloatingPointError, match="path 0 became non-finite at t=750 "), np.errstate(over="ignore"):
-            quantize_price_process(_RunawayModel(), q, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow raises, and warns nothing first
+            with pytest.raises(FloatingPointError, match="path 0 became non-finite at t=750 "):
+                quantize_price_process(_RunawayModel(), q, 4)
 
 
 class _CountingModel:
