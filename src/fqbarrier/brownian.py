@@ -15,7 +15,6 @@ is a weighted family of smooth paths, one per combination of grid points.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -23,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gaussian
-from .gaussian import GaussianQuantizer, cached_normal_quantizer
+from .gaussian import GaussianQuantizer, LloydConvergenceError, cached_normal_quantizer
 
 __all__ = [
     "kl_eigenvalue",
@@ -67,113 +66,111 @@ class ProductDecomposition:
             raise ValueError("d_n must equal the factor product and fit the budget")
 
 
-def optimal_decomposition(budget: int) -> ProductDecomposition:
-    """Search the factor sizes minimizing the Brownian quantization error.
-
-    Depth-first branch and bound over nonincreasing factor sequences with
-    product <= budget, each factor >= 2; it returns the same optimum as
-    exhaustive enumeration.  The eigenvalue tail beyond the decomposition
-    length is exact (the eigenvalue series sums to T^2/2), so the
-    objective carries no truncation bias.  The sequence length is at most
-    floor(log2(budget)).
-
-    Two admissible bounds prune the search.  A cheap one credits every
-    slot the sequence can still reach with its full eigenvalue (d >= 0).
-    An exact one applies once a factor f exceeds m = budget // (prod * f),
-    the largest product left for the deeper factors: every completion then
-    costs at least ``partial - lambda_pos + T(pos + 1, m)``, where T is the
-    best tail objective over sequences with product <= m.  T needs d(N)
-    only for N <= m, so a cold search solves grids up to about
-    sqrt(budget) (100 at budget 10^4) instead of budget / 8.  Zador's
-    asymptotic d(N) ~ (sqrt(3) pi / 2) / N^2 is not used: it is not a
-    lower bound at finite N.
-
-    Distortions and tail objectives are memoized for this search only.
-    The first read of an unsolved size N solves every unsolved size from 2
-    to max(N, isqrt(budget) + 2) in one batched Newton run, which covers
-    every size the search reads at budgets up to at least 10^4 (2..33 at
-    budget 1000, 2..100 at 10^4).  So a cold search holds about
-    sqrt(budget) small grids at once (5252 points, 84 KB with their
-    weights, at 10^4) and keeps only their distortions.
-    """
+def _search(budget: int) -> tuple[ProductDecomposition, tuple[GaussianQuantizer, ...]]:
+    """The optimal decomposition and the marginal grids of its factors."""
     if budget < 2:
         raise ValueError("budget must be >= 2")
-    max_len = int(math.floor(math.log2(budget)))
-
-    # Python floats: the search does scalar arithmetic only
+    max_len = int(budget).bit_length() - 1  # floor(log2(budget))
     lam = [kl_eigenvalue(k, 1.0) for k in range(1, max_len + 1)]
-    cumlam = [0.0, *itertools.accumulate(lam)]
+    s = math.isqrt(budget)
+    grids: dict[int, GaussianQuantizer | LloydConvergenceError] = {}
 
-    best_obj = math.inf
-    best_factors: list[int] = []
-    distortions: dict[int, float] = {}
-    tails: dict[tuple[int, int, int], float] = {}
-
-    batch_top = math.isqrt(budget) + 2
-
-    def distortion_at(levels: int) -> float:
-        if levels not in distortions:
+    def grid(levels: int) -> GaussianQuantizer:
+        if levels not in grids:
             # through the module attribute, so a test or a tracer sees each batch
-            solved = gaussian.solve_normal_quantizers(
-                n for n in range(2, max(levels, batch_top) + 1) if n not in distortions
+            grids.update(
+                gaussian.solve_normal_quantizers(n for n in range(2, max(levels, s + 2) + 1) if n not in grids)
             )
-            distortions.update((n, q.distortion) for n, q in solved.items() if isinstance(q, GaussianQuantizer))
-            if levels not in distortions:
-                raise solved[levels]
-        return distortions[levels]
+        q = grids[levels]
+        if isinstance(q, LloydConvergenceError):
+            raise q
+        return q
 
-    def tail(pos: int, room: int, cap: int) -> float:
-        """Best sum of lam_k (d(N_k) - 1) over nonincreasing tails from pos.
+    d = np.array([0.0, 0.0, *(grid(n).distortion for n in range(2, s + 1))])  # d(n) at index n
+    # a room r <= s sits in row r, a room r > s (always budget // m, m <= s) in row s + m
+    rooms = np.concatenate((np.arange(s + 1), budget // np.arange(1, s + 1)))
+    values: dict[int, np.ndarray] = {}  # V_pos over (row, cap - 2), for pos >= 2
 
-        The tail's factors are at most cap and their product at most room;
-        the empty tail gives 0.
-        """
-        key = (pos, room, cap)
-        if key not in tails:
-            best = 0.0
-            if pos < max_len:
-                for g in range(2, min(cap, room) + 1):
-                    best = min(best, lam[pos] * (distortion_at(g) - 1.0) + tail(pos + 1, room // g, g))
-            tails[key] = best
-        return tails[key]
+    def costs(pos: int, room: np.ndarray, top: int) -> np.ndarray:
+        """lam_pos (d(g) - 1) + V_{pos+1}(r // g, g) for every r in room and g in 2..top."""
+        here = lam[pos] * (d[2 : top + 1] - 1.0)
+        deeper = values.get(pos + 1)
+        if deeper is None:
+            return np.broadcast_to(here, (len(room), top - 1))
+        g = np.arange(2, top + 1)
+        r = room[:, None] // g
+        row = np.where(r <= s, r, s + budget // np.maximum(r, 1))
+        # a cell past its row's reachable caps clamps into the table; no reachable cell reads it
+        return here + deeper[row, np.clip(np.minimum(g, r), 2, deeper.shape[1] + 1) - 2]
 
-    def extend(prefix: list[int], prod: int, partial: float) -> None:
-        nonlocal best_obj, best_factors
-        pos = len(prefix)
-        cap = prefix[-1] if prefix else budget
-        f_max = min(cap, budget // prod)
-        if f_max < 2 or pos >= max_len:
-            return
-        lam_here, lam_before, lam_through = lam[pos], cumlam[pos], cumlam[pos + 1]
-        # both bounds tighten as f grows, so the first one that fails
-        # ends the loop
-        for f in range(2, f_max + 1):
-            room = budget // (prod * f)
-            # cheap bound: a factor f at this position caps the sequence
-            # length at pos + 1 + log2(room), and each factor slot can
-            # claim at most its full eigenvalue (d >= 0)
-            reach = min(max_len, pos + 1 + int(math.log2(room)))
-            if partial - (cumlam[reach] - lam_before) >= best_obj:
-                break
-            # exact tail bound: past f > room the cap f no longer binds the
-            # deeper factors, and d(f) >= 0 covers this slot
-            if f > room and partial - lam_here + tail(pos + 1, room, room) >= best_obj:
-                break
-            delta = distortion_at(f) - 1.0
-            obj = partial + lam_here * delta
-            # every deeper factor is <= f, so it contributes >= lam*(d(f)-1)
-            subtree_bound = obj + (cumlam[reach] - lam_through) * delta
-            if obj < best_obj:
-                best_obj = obj
-                best_factors = [*prefix, f]
-            if subtree_bound < best_obj:
-                prefix.append(f)
-                extend(prefix, prod * f, obj)
-                prefix.pop()
+    # bottom up: V_pos(r, c) is the prefix minimum of costs over g <= c; a cap
+    # c at position pos that a sequence can reach has c**(pos + 1) <= budget.
+    # Every cost is < 0, so a tail stops only when no factor fits (rows 0, 1).
+    top = 1
+    for pos in range(max_len - 1, 1, -1):
+        while (top + 1) ** (pos + 1) <= budget:
+            top += 1
+        table = np.minimum.accumulate(costs(pos, rooms, top), axis=1)
+        table[:2] = 0.0
+        values[pos] = table
 
-    extend([], 1, 0.5)
-    factors = tuple(best_factors)
-    return ProductDecomposition(budget, factors, math.prod(factors), best_obj)
+    # first factors f <= s in one block, each with V_1(budget // f, f): row f
+    # keeps the columns g <= f
+    best, first = math.inf, 0
+    if s >= 2:
+        f = np.arange(2, s + 1)
+        rest = np.where(f <= f[:, None], costs(1, budget // f, s), np.inf).min(axis=1)
+        totals = lam[0] * (d[2:] - 1.0) + rest
+        best, first = float(totals.min()), int(np.argmin(totals)) + 2
+    # past s the room is below f, and -lam_1 + V_1(room, room) bounds every
+    # total from f on: it grows with f, so the first f it rules out ends the scan
+    for f in range(s + 1, budget + 1):
+        room = budget // f
+        rest = float(costs(1, np.array([room]), room).min()) if room >= 2 else 0.0
+        if rest - lam[0] >= best:
+            break
+        total = lam[0] * (grid(f).distortion - 1.0) + rest
+        if total < best:
+            best, first = total, f
+
+    factors, room = [first], budget // first
+    for pos in range(1, max_len):
+        if min(room, factors[-1]) < 2:
+            break
+        factors.append(int(np.argmin(costs(pos, np.array([room]), min(room, factors[-1])))) + 2)
+        room //= factors[-1]
+    residual = 0.5  # front to back: the tables sum back to front, which can differ in the last bit
+    for k, n in enumerate(factors):
+        residual += lam[k] * (grid(n).distortion - 1.0)
+    deco = ProductDecomposition(budget, tuple(factors), math.prod(factors), residual)
+    return deco, tuple(grids[n] for n in factors)
+
+
+def optimal_decomposition(budget: int) -> ProductDecomposition:
+    """Find the factor sizes minimizing the Brownian quantization error.
+
+    Minimizes ``0.5 + sum_k lambda_k (d(N_k) - 1)`` over nonincreasing
+    factors N_1 >= ... >= N_L >= 2 with product <= budget (so L <=
+    floor(log2(budget))).  The eigenvalue series sums to T^2/2, so the
+    tail beyond L is exact and the objective carries no truncation bias.
+
+    One bottom-up dynamic program finds the exact optimum.  V_p(r, c), the
+    best sum from position p on with factors <= c and product <= r, is the
+    minimum over g <= min(r, c) of lambda_p (d(g) - 1) + V_{p+1}(r // g, g).
+    A room is always budget // m, one of about 2 sqrt(budget) values, and a
+    reachable cap at position p has c^(p+1) <= budget, so each V_p, p >= 2,
+    is one numpy prefix minimum over a small table (201 rooms x 20 caps at
+    position 2 of budget 10^4).  Position 1 is evaluated only where
+    position 0 lands: every first factor up to isqrt(budget) at once, then
+    one at a time until -lambda_1 + V_1(room, room), a bound that grows
+    with the first factor, rules it out.  Ties go to the smaller factor.
+
+    The tables read d(N) only for N <= isqrt(budget); one batched Newton
+    run solves 2..isqrt(budget) + 2 (2..102 at budget 10^4), a larger
+    first factor is solved when the scan reads it, and a failed size
+    raises its LloydConvergenceError only when read.
+    """
+    return _search(budget)[0]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -259,29 +256,32 @@ class BrownianProductQuantizer:
         return self.coefficients @ (self._derivative_scale * np.cos(self._frequencies * t))
 
 
-def build_product_quantizer(factors, horizon: float = 1.0, budget: int | None = None) -> BrownianProductQuantizer:
+def build_product_quantizer(
+    factors, horizon: float = 1.0, budget: int | None = None, grids=None
+) -> BrownianProductQuantizer:
     """Assemble the path family for explicitly given factor sizes.
 
     Only the factors and their marginal grids are computed here; the path
-    arrays wait for their first read.
+    arrays wait for their first read.  ``grids``, if given, are the
+    factors' marginal grids, already solved.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     factors = tuple(int(f) for f in factors)
+    marginals = tuple(cached_normal_quantizer(f) for f in factors) if grids is None else tuple(grids)
+    if tuple(q.n_levels for q in marginals) != factors:
+        raise ValueError("grids must match the factors")
     d_n = math.prod(factors)
-    marginals = tuple(cached_normal_quantizer(f) for f in factors)
-    residual = 0.5 + sum(
-        kl_eigenvalue(k + 1, 1.0) * (q.distortion - 1.0) for k, q in enumerate(marginals)
-    )
+    residual = 0.5 + sum(kl_eigenvalue(k + 1, 1.0) * (q.distortion - 1.0) for k, q in enumerate(marginals))
     deco = ProductDecomposition(budget if budget is not None else d_n, factors, d_n, residual)
     return BrownianProductQuantizer(float(horizon), deco, marginals)
 
 
 @lru_cache(maxsize=8)
 def brownian_product_quantizer(budget: int, horizon: float = 1.0) -> BrownianProductQuantizer:
-    """Optimal product quantizer of Brownian motion for a path budget."""
-    deco = optimal_decomposition(budget)
-    return build_product_quantizer(deco.factors, horizon, budget=budget)
+    """Optimal product quantizer of Brownian motion for a path budget, built from the search's grids."""
+    deco, grids = _search(budget)
+    return build_product_quantizer(deco.factors, horizon, budget, grids)
 
 
 def save_paths(q: BrownianProductQuantizer, path) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
 from .models import BlackScholes
@@ -36,25 +36,29 @@ def vanilla_price(x0: float, strike: float, maturity: float, rate: float, sigma:
 
 
 def _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta):
-    """The four reflection building blocks for a zero-rebate barrier option."""
+    """The four reflection building blocks for a zero-rebate barrier option.
+
+    The reflected blocks C and D take each (L/x0)^k * N(z) as
+    exp(k log(L/x0) + log N(z)): at small sigma the power overflows a
+    float while N(z) underflows, and their product stays finite.
+    """
     srt = sigma * math.sqrt(maturity)
     mu = rate / sigma**2 - 0.5
     disc = math.exp(-rate * maturity)
-    ratio = barrier / x0
+    log_ratio = math.log(barrier / x0)
+
+    def reflected(k, z):
+        return math.exp(k * log_ratio + log_ndtr(z))
 
     x1 = math.log(x0 / strike) / srt + (1.0 + mu) * srt
     x2 = math.log(x0 / barrier) / srt + (1.0 + mu) * srt
     y1 = math.log(barrier**2 / (x0 * strike)) / srt + (1.0 + mu) * srt
-    y2 = math.log(barrier / x0) / srt + (1.0 + mu) * srt
+    y2 = log_ratio / srt + (1.0 + mu) * srt
 
     A = phi * x0 * ndtr(phi * x1) - phi * strike * disc * ndtr(phi * (x1 - srt))
     B = phi * x0 * ndtr(phi * x2) - phi * strike * disc * ndtr(phi * (x2 - srt))
-    C = phi * x0 * ratio ** (2.0 * mu + 2.0) * ndtr(eta * y1) - phi * strike * disc * ratio ** (
-        2.0 * mu
-    ) * ndtr(eta * (y1 - srt))
-    D = phi * x0 * ratio ** (2.0 * mu + 2.0) * ndtr(eta * y2) - phi * strike * disc * ratio ** (
-        2.0 * mu
-    ) * ndtr(eta * (y2 - srt))
+    C = phi * x0 * reflected(2.0 * mu + 2.0, eta * y1) - phi * strike * disc * reflected(2.0 * mu, eta * (y1 - srt))
+    D = phi * x0 * reflected(2.0 * mu + 2.0, eta * y2) - phi * strike * disc * reflected(2.0 * mu, eta * (y2 - srt))
     return A, B, C, D
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import tracemalloc
 from functools import lru_cache
 
@@ -201,12 +203,84 @@ class TestDecompositionSearch:
         for g in q.marginal_quantizers:
             assert np.max(np.abs(g.points - lloyd_step(g.points))) < 1e-9
 
-    def test_cold_search_caches_only_chosen_factors(self):
+    def test_cold_build_solves_each_size_once(self, monkeypatch):
         brownian_product_quantizer.cache_clear()
         cached_normal_quantizer.cache_clear()
+        calls = {"batch": 0, "single": 0}
+        solve, single = gaussian.solve_normal_quantizers, gaussian.optimal_normal_quantizer
+
+        def counting_batch(sizes):
+            calls["batch"] += 1
+            return solve(sizes)
+
+        def counting_single(n_levels):
+            calls["single"] += 1
+            return single(n_levels)
+
+        monkeypatch.setattr(gaussian, "solve_normal_quantizers", counting_batch)
+        monkeypatch.setattr(gaussian, "optimal_normal_quantizer", counting_single)
         q = brownian_product_quantizer(1000)
+        assert calls == {"batch": 1, "single": 0}
+        monkeypatch.undo()
         assert q.decomposition.factors == (23, 7, 3, 2)
-        assert cached_normal_quantizer.cache_info().currsize == 4
+        for f, g in zip(q.decomposition.factors, q.marginal_quantizers):
+            alone = gaussian.optimal_normal_quantizer(f)
+            assert g.points.tobytes() == alone.points.tobytes()
+            assert g.weights.tobytes() == alone.weights.tobytes()
+            assert g.distortion.hex() == alone.distortion.hex()
+        assert q.decomposition == build_product_quantizer((23, 7, 3, 2), budget=1000).decomposition
+
+    def test_cold_build_memory(self):
+        brownian_product_quantizer.cache_clear()
+        cached_normal_quantizer.cache_clear()
+        tracemalloc.start()
+        try:
+            q = brownian_product_quantizer(10_000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q.decomposition.factors == (26, 8, 4, 3, 2, 2)
+        # the DP tables and the batch of 101 grids (5252 points) are gone;
+        # the 45 points of the chosen grids stay
+        assert peak < 1_500_000
+        assert held < 40_000
+
+
+# (budget, factors, residual_distortion.hex()) for budgets 2..1000 and 149
+# log-spaced budgets up to 2e5, recorded from the depth-first branch and
+# bound the dynamic program replaced
+DECOMPOSITIONS = json.loads((pathlib.Path(__file__).parent / "decompositions.json").read_text())
+
+
+class TestDecompositionFixture:
+    def test_matches_the_branch_and_bound(self, monkeypatch):
+        # a grid is the same whatever batch solves it, so each size is solved once
+        solved = {}
+        solve = gaussian.solve_normal_quantizers
+
+        def memo(sizes):
+            sizes = list(sizes)
+            solved.update(solve(n for n in sizes if n not in solved))
+            return {n: solved[n] for n in sizes}
+
+        monkeypatch.setattr(gaussian, "solve_normal_quantizers", memo)
+        for budget, factors, residual in DECOMPOSITIONS:
+            deco = optimal_decomposition(budget)
+            assert (deco.factors, deco.residual_distortion.hex()) == (tuple(factors), residual), budget
+            assert deco.d_n == math.prod(factors)
+
+    @pytest.mark.slow
+    def test_budget_one_million(self):
+        # the search sums its residual front to back from 0.5, the build adds
+        # 0.5 to the sum of the terms, so the two differ in the last bits
+        deco = optimal_decomposition(1_000_000)
+        assert deco.factors == (40, 13, 8, 5, 4, 3, 2, 2)
+        assert deco.residual_distortion.hex() == "0x1.25746eb59c577p-6"
+        brownian_product_quantizer.cache_clear()
+        built = brownian_product_quantizer(1_000_000).decomposition
+        assert built.factors == deco.factors
+        assert built.residual_distortion.hex() == "0x1.25746eb59c580p-6"
+        brownian_product_quantizer.cache_clear()
 
 
 class TestProductQuantizer:
@@ -245,6 +319,10 @@ class TestProductQuantizer:
             assert getattr(q, name) is lazy
             with pytest.raises(ValueError):
                 lazy[0] = 0
+
+    def test_grids_must_match_the_factors(self):
+        with pytest.raises(ValueError, match="grids"):
+            build_product_quantizer([3, 2], grids=[cached_normal_quantizer(2), cached_normal_quantizer(3)])
 
     def test_nonpositive_horizon_rejected(self):
         for horizon in (0.0, -1.0, math.nan):

@@ -70,6 +70,16 @@ class TestPriceCommands:
         assert float(row["price"]) == expected
         assert row["method"] == "closed"
 
+    def test_price_closed_small_sigma(self, tmp_path, capsys):
+        cfg = {
+            "model": {"model": "bs", "r": 0.221, "sigma": 0.0108, "x0": 100},
+            "contract": {"type": "up-and-out", "payoff": "put", "strike": 60.47, "barrier": 127.5, "maturity": 0.73},
+        }
+        path = tmp_path / "small_sigma.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["price-closed", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("closed price = ")
+
     def test_price_closed_rejects_pcev(self, pcev_config, capsys):
         assert main(["price-closed", "--config", str(pcev_config)]) == 1
         assert "closed form unavailable for pseudo-CEV" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from fqbarrier.closed_form import barrier_price, price_closed_form, vanilla_price
@@ -85,6 +86,49 @@ class TestBarrierStructure:
     def test_validation(self):
         with pytest.raises(ValueError):
             barrier_price(100.0, 100.0, -1.0, 1.0, 0.15, 0.07, BarrierType.UP_AND_OUT, PayoffType.CALL)
+
+
+def mp_blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta):
+    """The four reflection blocks in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        x0, strike, barrier, maturity, rate, sigma = map(mpmath.mpf, (x0, strike, barrier, maturity, rate, sigma))
+        srt = sigma * mpmath.sqrt(maturity)
+        mu = rate / sigma**2 - mpmath.mpf(1) / 2
+        disc, ratio = mpmath.exp(-rate * maturity), barrier / x0
+        x1 = mpmath.log(x0 / strike) / srt + (1 + mu) * srt
+        x2 = mpmath.log(x0 / barrier) / srt + (1 + mu) * srt
+        y1 = mpmath.log(barrier**2 / (x0 * strike)) / srt + (1 + mu) * srt
+        y2 = mpmath.log(barrier / x0) / srt + (1 + mu) * srt
+        A = phi * x0 * mpmath.ncdf(phi * x1) - phi * strike * disc * mpmath.ncdf(phi * (x1 - srt))
+        B = phi * x0 * mpmath.ncdf(phi * x2) - phi * strike * disc * mpmath.ncdf(phi * (x2 - srt))
+        C = phi * x0 * ratio ** (2 * mu + 2) * mpmath.ncdf(eta * y1) - phi * strike * disc * ratio ** (
+            2 * mu
+        ) * mpmath.ncdf(eta * (y1 - srt))
+        D = phi * x0 * ratio ** (2 * mu + 2) * mpmath.ncdf(eta * y2) - phi * strike * disc * ratio ** (
+            2 * mu
+        ) * mpmath.ncdf(eta * (y2 - srt))
+        return A, B, C, D
+
+
+class TestSmallSigmaOverflow:
+    """(L/x0)^(2 mu + 2) overflows a float at small sigma; the blocks stay finite."""
+
+    def test_up_and_out_put_far_below_the_barrier(self):
+        # 2 mu + 2 = 3806: the power alone is about 1e402
+        args = (100.0, 60.47, 127.5, 0.73, 0.221, 0.0108)
+        price = barrier_price(*args, BarrierType.UP_AND_OUT, PayoffType.PUT)
+        A, _, C, _ = mp_blocks(*args, phi=-1, eta=-1)
+        assert math.isfinite(price)
+        assert 0.0 <= price <= vanilla_price(100.0, 60.47, 0.73, 0.221, 0.0108, PayoffType.PUT) + 1e-12
+        assert abs(price - float(A - C)) <= 4.5e-13 * 100.0
+
+    def test_up_and_out_call_that_never_reaches_its_barrier(self):
+        # the forward ends near 110.5, 14 of its sd below L = 120; 2 mu + 2 = 4001
+        args = (100.0, 100.0, 120.0, 0.5, 0.2, 0.01)
+        price = barrier_price(*args, BarrierType.UP_AND_OUT, PayoffType.CALL)
+        A, B, C, D = mp_blocks(*args, phi=1, eta=-1)
+        assert price == pytest.approx(float(A - B + C - D), rel=1e-12, abs=0)
+        assert price == pytest.approx(vanilla_price(100.0, 100.0, 0.5, 0.2, 0.01, PayoffType.CALL), rel=1e-12, abs=0)
 
 
 class TestModelContractWrapper:
