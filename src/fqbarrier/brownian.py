@@ -66,8 +66,8 @@ class ProductDecomposition:
             raise ValueError("d_n must equal the factor product and fit the budget")
 
 
-def _search(budget: int) -> tuple[ProductDecomposition, tuple[GaussianQuantizer, ...]]:
-    """The optimal decomposition and the marginal grids of its factors."""
+def _search(budget: int) -> tuple[tuple[int, ...], tuple[GaussianQuantizer, ...]]:
+    """The optimal factors and their marginal grids."""
     if budget < 2:
         raise ValueError("budget must be >= 2")
     max_len = int(budget).bit_length() - 1  # floor(log2(budget))
@@ -139,11 +139,7 @@ def _search(budget: int) -> tuple[ProductDecomposition, tuple[GaussianQuantizer,
             break
         factors.append(int(np.argmin(costs(pos, np.array([room]), min(room, factors[-1])))) + 2)
         room //= factors[-1]
-    residual = 0.5  # front to back: the tables sum back to front, which can differ in the last bit
-    for k, n in enumerate(factors):
-        residual += lam[k] * (grid(n).distortion - 1.0)
-    deco = ProductDecomposition(budget, tuple(factors), math.prod(factors), residual)
-    return deco, tuple(grids[n] for n in factors)
+    return tuple(factors), tuple(grid(n) for n in factors)
 
 
 def optimal_decomposition(budget: int) -> ProductDecomposition:
@@ -170,7 +166,8 @@ def optimal_decomposition(budget: int) -> ProductDecomposition:
     first factor is solved when the scan reads it, and a failed size
     raises its LloydConvergenceError only when read.
     """
-    return _search(budget)[0]
+    factors, grids = _search(budget)
+    return build_product_quantizer(factors, 1.0, budget, grids).decomposition
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -272,7 +269,9 @@ def build_product_quantizer(
     if tuple(q.n_levels for q in marginals) != factors:
         raise ValueError("grids must match the factors")
     d_n = math.prod(factors)
-    residual = 0.5 + sum(kl_eigenvalue(k + 1, 1.0) * (q.distortion - 1.0) for k, q in enumerate(marginals))
+    residual = 0.5  # front to back: the search's tables sum back to front, which can differ in the last bit
+    for k, q in enumerate(marginals, 1):
+        residual += kl_eigenvalue(k, 1.0) * (q.distortion - 1.0)
     deco = ProductDecomposition(budget if budget is not None else d_n, factors, d_n, residual)
     return BrownianProductQuantizer(float(horizon), deco, marginals)
 
@@ -280,8 +279,8 @@ def build_product_quantizer(
 @lru_cache(maxsize=8)
 def brownian_product_quantizer(budget: int, horizon: float = 1.0) -> BrownianProductQuantizer:
     """Optimal product quantizer of Brownian motion for a path budget, built from the search's grids."""
-    deco, grids = _search(budget)
-    return build_product_quantizer(deco.factors, horizon, budget, grids)
+    factors, grids = _search(budget)
+    return build_product_quantizer(factors, horizon, budget, grids)
 
 
 def save_paths(q: BrownianProductQuantizer, path) -> None:

@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         result = run_config(config)
         _emit_result(result, args)
         return 0
-    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

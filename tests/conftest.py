@@ -37,10 +37,10 @@ GRID_TOL = 1e-5
 
 
 def finer_grid(model, quantizer, n_steps):
-    """The grid at four times the steps: 16 starting substeps, and step-load bounds 4 times lower.
+    """The grid at four times the steps: h_max a quarter of the default's, and step-load bounds 4 times lower.
 
-    Every interval that the default call integrates in s substeps takes
-    about 4 s here, the refined ones included.
+    Every substep that the default call takes, at h_max or refined below
+    it, is about four substeps here.
     """
     with mock.patch.multiple(price_grid, _THETA=price_grid._THETA / 4, _MU=price_grid._MU / 4):
         return quantize_price_process(model, quantizer, n_steps, substeps=16)

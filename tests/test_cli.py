@@ -80,6 +80,16 @@ class TestPriceCommands:
         assert main(["price-closed", "--config", str(path)]) == 0
         assert capsys.readouterr().out.startswith("closed price = ")
 
+    def test_price_closed_overflow_fails_with_one_line(self, bs_config, tmp_path, capsys):
+        # the discount factor exp(-r T) overflows a float at r = -800
+        _, cfg = bs_config
+        cfg["model"]["r"] = -800.0
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["price-closed", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_price_closed_rejects_pcev(self, pcev_config, capsys):
         assert main(["price-closed", "--config", str(pcev_config)]) == 1
         assert "closed form unavailable for pseudo-CEV" in capsys.readouterr().err

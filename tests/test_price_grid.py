@@ -162,12 +162,14 @@ class _CountingModel:
 
 
 # pseudo-CEV fields on which a fixed 4 substeps per interval is 9.4e-5 off,
-# raises "non-finite" twice and is 100% off
+# raises "non-finite" twice and is 100% off; the last is stiff for only part
+# of its one interval
 STIFF_MODELS = [
     (PseudoCEV(0.0, 5.0, 0.9, 1.0), 5.0, 20, 1000),
     (PseudoCEV(0.0, 20.0, 0.5, 1.0), 30.0, 2, 60),
     (PseudoCEV(0.0, 20.0, 0.05, 1.0), 30.0, 2, 60),
     (PseudoCEV(0.0, 12.7, 0.98, 1.0), 22.8, 25, 100),
+    (PseudoCEV(-1.0, 20.0, 0.99, 1.0), 30.0, 1, 20),
 ]
 
 
@@ -181,7 +183,8 @@ class TestStiffnessControl:
         assert counting.calls == 8 * 4 * n_steps
 
     @pytest.mark.parametrize("model, maturity, n_steps, budget", STIFF_MODELS,
-                             ids=["vartheta5", "vartheta20-delta0.5", "vartheta20-delta0.05", "vartheta12.7"])
+                             ids=["vartheta5", "vartheta20-delta0.5", "vartheta20-delta0.05", "vartheta12.7",
+                                  "vartheta20-partly-stiff"])
     def test_stiff_fields_match_four_times_the_steps(self, model, maturity, n_steps, budget):
         q = brownian_product_quantizer(budget, maturity)
         with warnings.catch_warnings():
@@ -189,6 +192,13 @@ class TestStiffnessControl:
             grid = quantize_price_process(model, q, n_steps)
         assert np.all(np.isfinite(grid.grids))
         assert grid_log_error(grid, finer_grid(model, q, n_steps)) < GRID_TOL
+
+    def test_partly_stiff_interval_refines_only_where_stiff(self):
+        # only the stiff stretch of its one interval takes short substeps; refining all of it makes 131 096 calls
+        model, maturity, n_steps, budget = STIFF_MODELS[-1]
+        counting = _CountingModel(model)
+        quantize_price_process(counting, brownian_product_quantizer(budget, maturity), n_steps)
+        assert counting.calls <= 1000
 
 
 class TestLogCoordinates:

@@ -9,7 +9,7 @@ conftest.py derandomizes the draw, so every run checks the same examples.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fqbarrier.brownian import brownian_product_quantizer
@@ -53,8 +53,6 @@ def test_price_bounded_by_vanilla_and_monotone_in_barrier(
         assert high <= low * (1.0 + 1e-12)
 
 
-# 50 draws rather than 100: a stiff draw and its reference take up to a few seconds
-@settings(max_examples=50)
 @given(
     r=st.floats(-1.0, 1.0),
     vartheta=st.floats(0.1, 20.0),
