@@ -285,13 +285,7 @@ def brownian_product_quantizer(budget: int, horizon: float = 1.0) -> BrownianPro
 
 def save_paths(q: BrownianProductQuantizer, path) -> None:
     """Dump one line per path: 1-based multi-index, weight, coefficients."""
-    L = q.n_terms
-    with open(path, "w") as fh:
-        fh.write(
-            f"# budget {q.decomposition.budget} horizon {q.horizon:.17g} "
-            f"factors {','.join(str(f) for f in q.decomposition.factors)}\n"
-        )
-        for m in range(q.n_paths):
-            idx = " ".join(str(i + 1) for i in q.multi_indices[m])
-            coeffs = " ".join(f"{c:.17g}" for c in q.coefficients[m])
-            fh.write(f"{idx} {q.weights[m]:.17g} {coeffs}\n")
+    factors = ",".join(str(f) for f in q.decomposition.factors)
+    header = f"# budget {q.decomposition.budget} horizon {q.horizon:.17g} factors {factors}"
+    table = np.column_stack([q.multi_indices + 1, q.weights, q.coefficients])
+    np.savetxt(path, table, fmt=["%d"] * q.n_terms + ["%.17g"] * (q.n_terms + 1), header=header, comments="")

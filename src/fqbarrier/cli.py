@@ -10,7 +10,10 @@ price-closed    price a contract by the Black-Scholes closed form
 table           recompute one of the five benchmark tables as CSV
 
 ``price-*`` read the model and contract from a JSON config; flags override
-config values.  Exit code 0 on success, nonzero with a diagnostic on error.
+config values.  The config format lives here: each block checks its keys
+and parses its numbers as it is read, and every check runs before any
+work is done or any dump is written.  Exit code 0 on success, nonzero
+with a one-line diagnostic on error.
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ import json
 import numbers
 import sys
 import time
+from dataclasses import fields
 
 from .brownian import brownian_product_quantizer, save_paths
 from .closed_form import price_closed_form
-from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
+from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult, check_discount
 from .gaussian import optimal_normal_quantizer, save_quantizer
 from .mc_pricer import Estimator, McConfig, rbb_price
-from .models import BlackScholes, check_keys, model_from_dict
+from .models import BlackScholes, Model, PseudoCEV
 from .price_grid import dump_grids, quantize_price_process
 from .quant_pricer import price_barrier
 from .tables import DEFAULT_SEED, run_table, write_table_csv
 from .transitions import dump_transitions, transition_steps
 
-__all__ = ["main", "run_config"]
+__all__ = ["main", "model_from_dict", "run_config"]
 
 _RESULT_FIELDS = ["method", "price", "sample_variance", "std_error", "elapsed"]
 _CONFIG_KEYS = ("model", "contract", "method", "params")
@@ -40,7 +44,6 @@ _CONFIG_KEYS = ("model", "contract", "method", "params")
 # serves price-quant and price-mc alike
 _PARAM_KEYS = ("steps", "budget", "dump_grids", "dump_transitions", "paths", "seed", "estimator")
 _CONTRACT_KEYS = ("type", "payoff", "strike", "barrier", "maturity")
-_NUMBER_KEYS = {"model": ("r", "sigma", "vartheta", "delta", "x0"), "contract": ("strike", "barrier", "maturity")}
 
 
 def _load_config(path: str) -> dict:
@@ -54,8 +57,9 @@ def _check_config(config) -> None:
     """Reject a malformed config with a ValueError that names the offending entry.
 
     That is a config or block that is not an object, a top-level or params
-    key that no method reads, a dump path that is not a string, and a
-    number that float() cannot take.
+    key that no method reads, and a dump path that is not a string.  The
+    model and contract blocks check their own keys and numbers as they
+    are parsed.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
@@ -69,12 +73,38 @@ def _check_config(config) -> None:
         # open() takes an integer as a file descriptor: 1 would write the dump to stdout and close it
         if not isinstance(params.get(key, ""), str):
             raise ValueError(f"params.{key} must be a file path, got {params[key]!r}")
-    for where, keys in _NUMBER_KEYS.items():
-        for key in keys:
-            try:
-                float(config[where].get(key, 0.0))
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}.{key} must be a number, got {config[where][key]!r}") from None
+
+
+def check_keys(where: str, block: dict, accepted, required=()) -> None:
+    """Raise one ValueError naming the keys of ``block`` outside ``accepted`` and those of ``required`` it lacks."""
+    unknown = [key for key in block if key not in accepted]
+    missing = [key for key in required if key not in block]
+    found = [f"{kind} {where} key(s) {', '.join(map(repr, keys))}"
+             for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if found:
+        raise ValueError(f"{'; '.join(found)}; accepted: {', '.join(accepted)}")
+
+
+def _number(where: str, block: dict, key: str) -> float:
+    """``block[key]`` as a float; a value that float() cannot take raises a ValueError naming ``where.key``."""
+    try:
+        return float(block[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}.{key} must be a number, got {block[key]!r}") from None
+
+
+def model_from_dict(block: dict) -> Model:
+    """Parse a model block like {"model": "bs", "r": .., "sigma": .., "x0": ..}.
+
+    The block must hold exactly the kind's parameters besides "model".
+    """
+    kind = block.get("model")
+    cls = {"bs": BlackScholes, "pcev": PseudoCEV}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r} (expected 'bs' or 'pcev')")
+    names = [f.name for f in fields(cls)]
+    check_keys("model", block, ["model", *names], names)
+    return cls(**{name: _number("model", block, name) for name in names})
 
 
 def _contract_from_dict(block: dict) -> BarrierContract:
@@ -82,9 +112,9 @@ def _contract_from_dict(block: dict) -> BarrierContract:
     return BarrierContract(
         barrier_type=_choice("contract.type", BarrierType, block["type"]),
         payoff_type=_choice("contract.payoff", PayoffType, block["payoff"]),
-        strike=float(block["strike"]),
-        barrier=float(block["barrier"]),
-        maturity=float(block["maturity"]),
+        strike=_number("contract", block, "strike"),
+        barrier=_number("contract", block, "barrier"),
+        maturity=_number("contract", block, "maturity"),
     )
 
 
@@ -119,6 +149,7 @@ def run_config(config: dict) -> PricingResult:
     _check_config(config)
     model = model_from_dict(config["model"])
     contract = _contract_from_dict(config["contract"])
+    check_discount(model.r, contract.maturity)
     method = config.get("method", "quant")
     params = config.get("params", {})
 
@@ -143,8 +174,6 @@ def run_config(config: dict) -> PricingResult:
         )
         return rbb_price(model, contract, cfg)
     if method == "closed":
-        if not isinstance(model, BlackScholes):
-            raise ValueError("closed form unavailable for pseudo-CEV")
         return price_closed_form(model, contract)
     raise ValueError(f"unknown method {method!r} (expected quant, rbb or closed)")
 
@@ -222,14 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override_params(config: dict, args, keys: dict) -> None:
-    params = config.setdefault("params", {})
-    for flag, key in keys.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[key] = value
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -259,24 +280,15 @@ def main(argv=None) -> int:
                 write_table_csv(rows, sys.stdout, args.precision)
             return 0
 
+        method, flags = {
+            "price-quant": ("quant", ("steps", "budget", "dump_grids", "dump_transitions")),
+            "price-mc": ("rbb", ("paths", "steps", "seed", "estimator")),
+            "price-closed": ("closed", ()),
+        }[args.command]
         config = _load_config(args.config)
-        if args.command == "price-quant":
-            config["method"] = "quant"
-            _override_params(
-                config,
-                args,
-                {
-                    "steps": "steps",
-                    "budget": "budget",
-                    "dump_grids": "dump_grids",
-                    "dump_transitions": "dump_transitions",
-                },
-            )
-        elif args.command == "price-mc":
-            config["method"] = "rbb"
-            _override_params(config, args, {"paths": "paths", "steps": "steps", "seed": "seed", "estimator": "estimator"})
-        elif args.command == "price-closed":
-            config["method"] = "closed"
+        config["method"] = method
+        config.setdefault("params", {}).update({key: getattr(args, key) for key in flags
+                                                if getattr(args, key) is not None})
         result = run_config(config)
         _emit_result(result, args)
         return 0

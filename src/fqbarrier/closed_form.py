@@ -14,7 +14,7 @@ import time
 
 from scipy.special import log_ndtr, ndtr
 
-from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult
+from .contracts import BarrierContract, BarrierType, PayoffType, PricingResult, check_discount
 from .models import BlackScholes
 
 __all__ = ["vanilla_price", "barrier_price", "price_closed_form"]
@@ -26,6 +26,7 @@ def vanilla_price(x0: float, strike: float, maturity: float, rate: float, sigma:
         raise ValueError("sigma and maturity must be positive")
     if x0 <= 0.0 or strike <= 0.0:
         raise ValueError("x0 and strike must be positive")
+    check_discount(rate, maturity)
     srt = sigma * math.sqrt(maturity)
     d1 = (math.log(x0 / strike) + (rate + 0.5 * sigma**2) * maturity) / srt
     d2 = d1 - srt
@@ -79,6 +80,7 @@ def barrier_price(
         raise ValueError("sigma and maturity must be positive")
     if x0 <= 0.0 or strike <= 0.0:
         raise ValueError("x0 and strike must be positive")
+    check_discount(rate, maturity)
 
     up = barrier_type is BarrierType.UP_AND_OUT
     if up and x0 >= barrier:

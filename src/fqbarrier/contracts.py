@@ -1,4 +1,4 @@
-"""Barrier option contracts and pricing result records."""
+"""Barrier option contracts, pricing result records and the discount check."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["BarrierType", "PayoffType", "BarrierContract", "PricingResult"]
+__all__ = ["BarrierType", "PayoffType", "BarrierContract", "PricingResult", "check_discount"]
 
 
 class BarrierType(Enum):
@@ -53,3 +53,17 @@ class PricingResult:
     elapsed: float
     sample_variance: float | None = None
     std_error: float | None = None
+
+
+def check_discount(rate: float, maturity: float) -> None:
+    """Raise a ValueError naming r and T unless the discount factor exp(-r T) is a finite float.
+
+    That needs r T >= -709.78; each pricer still computes its own factor.
+    """
+    try:
+        disc = math.exp(-rate * maturity)
+    except OverflowError:
+        disc = math.inf
+    if disc == math.inf:
+        raise ValueError(f"discount factor exp(-r*T) overflows a float at r={rate!r}, T={maturity!r}; "
+                         "r*T must be at least -709.78")

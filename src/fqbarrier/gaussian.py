@@ -279,10 +279,7 @@ def cached_normal_quantizer(n_levels: int) -> GaussianQuantizer:
 
 def save_quantizer(q: GaussianQuantizer, path) -> None:
     """Write a quantizer as text: header ``N <n>`` then ``point weight`` rows."""
-    with open(path, "w") as fh:
-        fh.write(f"N {q.n_levels}\n")
-        for p, w in zip(q.points, q.weights):
-            fh.write(f"{p:.17g} {w:.17g}\n")
+    np.savetxt(path, np.column_stack([q.points, q.weights]), fmt="%.17g", header=f"N {q.n_levels}", comments="")
 
 
 def load_quantizer(path) -> GaussianQuantizer:
@@ -292,9 +289,8 @@ def load_quantizer(path) -> GaussianQuantizer:
         if len(header) != 2 or header[0] != "N":
             raise ValueError(f"bad quantizer file header in {path!r}")
         n = int(header[1])
-        rows = [line.split() for line in fh if line.strip()]
+        rows = np.loadtxt(fh, ndmin=2)
     if len(rows) != n:
         raise ValueError(f"expected {n} rows in {path!r}, found {len(rows)}")
-    pts = np.array([float(r[0]) for r in rows])
-    w = np.array([float(r[1]) for r in rows])
+    pts, w = rows.T
     return GaussianQuantizer(n, pts, w, distortion(pts))

@@ -56,7 +56,7 @@ from scipy.special import ndtri
 
 from ._pool import _cores, _worker
 from .bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf
-from .contracts import BarrierContract, BarrierType, PricingResult
+from .contracts import BarrierContract, BarrierType, PricingResult, check_discount
 from .models import Model
 
 __all__ = [
@@ -237,6 +237,7 @@ def rbb_price_levels(
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if not np.all(np.isfinite(levels) & (levels > 0.0)):
         raise ValueError("barrier levels must be finite and positive")
+    check_discount(model.r, contract.maturity)
     start = time.perf_counter()
     sums, sumsq = _simulate_levels(model, contract, levels, cfg)
     return _results_from_sums(sums, sumsq, cfg.n_paths, time.perf_counter() - start)

@@ -11,13 +11,14 @@ and the bridge) and the two terms of the quantizer ODE in log x.
 set of source points, which the grid transition probabilities evaluate.
 It is Gaussian in some coordinate: in log x for the exact law of
 Black-Scholes, and in x itself for the one-step Euler proxy of the
-pseudo-CEV model.
+pseudo-CEV model.  The JSON config blocks that name a model are parsed
+in ``cli``, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "PseudoCEV",
     "Model",
     "OneStepLaw",
-    "model_from_dict",
     "one_step_law",
 ]
 
@@ -166,26 +166,3 @@ def one_step_law(model: Model, x, dt: float) -> OneStepLaw:
         return OneStepLaw(True, np.log(x), (model.r - 0.5 * model.sigma**2) * dt, sd)
     return OneStepLaw(False, x + model.drift(x) * dt, 0.0, model.diffusion(x) * math.sqrt(dt))
 
-
-def check_keys(where: str, block: dict, accepted, required=()) -> None:
-    """Raise one ValueError naming the keys of ``block`` outside ``accepted`` and those of ``required`` it lacks."""
-    unknown = [key for key in block if key not in accepted]
-    missing = [key for key in required if key not in block]
-    found = [f"{kind} {where} key(s) {', '.join(map(repr, keys))}"
-             for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
-    if found:
-        raise ValueError(f"{'; '.join(found)}; accepted: {', '.join(accepted)}")
-
-
-def model_from_dict(block: dict) -> Model:
-    """Parse a model block like {"model": "bs", "r": .., "sigma": .., "x0": ..}.
-
-    The block must hold exactly the kind's parameters besides "model".
-    """
-    kind = block.get("model")
-    cls = {"bs": BlackScholes, "pcev": PseudoCEV}.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown model kind {kind!r} (expected 'bs' or 'pcev')")
-    names = [f.name for f in fields(cls)]
-    check_keys("model", block, ["model", *names], names)
-    return cls(**{name: float(block[name]) for name in names})

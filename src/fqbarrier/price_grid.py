@@ -44,7 +44,6 @@ The tests hold grids to 1e-5.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -199,19 +198,9 @@ def quantize_price_process(
 
 
 def dump_grids(grid: QuantizedPriceGrid, path) -> None:
-    """CSV dump with columns (k, t_k, rank, price, weight)."""
+    """CSV dump with columns (k, t_k, rank, price, weight): one ``\\r\\n``-ended line per grid point."""
     inverse = np.argsort(grid.permutations, axis=1)  # rank -> path index
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t_k", "rank", "price", "weight"])
-        for k in range(grid.n_steps + 1):
-            for rank in range(grid.d_n):
-                writer.writerow(
-                    [
-                        k,
-                        f"{grid.dates[k]:.17g}",
-                        rank,
-                        f"{grid.grids[k][rank]:.17g}",
-                        f"{grid.path_weights[inverse[k][rank]]:.17g}",
-                    ]
-                )
+    k, rank = np.divmod(np.arange(grid.grids.size), grid.d_n)
+    table = np.column_stack([k, grid.dates[k], rank, grid.grids.ravel(), grid.path_weights[inverse].ravel()])
+    np.savetxt(path, table, fmt=["%d", "%.17g", "%d", "%.17g", "%.17g"], delimiter=",", newline="\r\n",
+               header="k,t_k,rank,price,weight", comments="")

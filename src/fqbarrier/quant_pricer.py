@@ -58,7 +58,7 @@ from ._pool import _cores, _worker
 from .bridge import BridgeParams, no_crossing
 from .bridge import bridge_max_cdf, bridge_min_cdf  # noqa: F401  the benchmark tracer wraps these attributes
 from .brownian import brownian_product_quantizer
-from .contracts import BarrierContract, BarrierType, PricingResult
+from .contracts import BarrierContract, BarrierType, PricingResult, check_discount
 from .models import Model, one_step_law
 from .price_grid import QuantizedPriceGrid, quantize_price_process
 from .transitions import mass_cells, transition_block
@@ -246,6 +246,7 @@ def price_barrier(model: Model, contract: BarrierContract, grid: QuantizedPriceG
         raise ValueError(f"grid horizon {grid.horizon} differs from the contract maturity {contract.maturity}")
     if grids[0][0] != model.x0:
         raise ValueError(f"grid starts at {grids[0][0]}, the model at x0={model.x0}")
+    check_discount(model.r, contract.maturity)
     pi, terminal = _survival_measure(model, contract, grid)
     price = 0.0 if pi is None else np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(terminal))
     return PricingResult(price=price, method="quant", elapsed=time.perf_counter() - start)

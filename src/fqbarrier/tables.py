@@ -3,19 +3,20 @@
 Five up-and-out call sweeps over the barrier level (strike 100, spot 100,
 rate 0.15, maturity 1): three Black-Scholes configurations priced against
 the closed form, and two pseudo-CEV configurations priced against a
-high-resolution Monte Carlo reference (1e7 paths, 100 steps).  Each row
-reports the reference price, the bridge Monte Carlo price and per-sample
-variance, and the quantization price with its per-row pricing time.  The
-rows share one quantizer and one price grid; each row's time is its
-``price_barrier`` call, whose transition probabilities depend on the
-barrier through the live cells, so each row evaluates its own.
+high-resolution Monte Carlo reference (1e7 paths, 100 steps); the
+table's model picks its reference.  Each row reports the reference price,
+the bridge Monte Carlo price and per-sample variance, and the
+quantization price with its per-row pricing time.  The rows share one
+quantizer and one price grid; each row's time is its ``price_barrier``
+call, whose transition probabilities depend on the barrier through the
+live cells, so each row evaluates its own.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
+
+import numpy as np
 
 from .brownian import brownian_product_quantizer
 from .closed_form import barrier_price
@@ -38,7 +39,6 @@ class TableSpec:
     n_steps: int
     levels: tuple[float, ...]
     mc_paths: int = 1_000_000
-    reference: str = "closed"  # "closed" or "rbb"
     reference_paths: int = 10_000_000
     reference_steps: int = 100
 
@@ -50,12 +50,8 @@ TABLE_SPECS: dict[int, TableSpec] = {
     1: TableSpec(1, BlackScholes(r=0.15, sigma=0.07, x0=100.0), 10, _BS_LEVELS),
     2: TableSpec(2, BlackScholes(r=0.15, sigma=0.07, x0=100.0), 20, _BS_LEVELS),
     3: TableSpec(3, BlackScholes(r=0.15, sigma=0.10, x0=100.0), 20, _BS_LEVELS),
-    4: TableSpec(
-        4, PseudoCEV(r=0.15, vartheta=0.7, delta=0.5, x0=100.0), 20, _PCEV_LEVELS, reference="rbb"
-    ),
-    5: TableSpec(
-        5, PseudoCEV(r=0.15, vartheta=1.0, delta=0.5, x0=100.0), 20, _PCEV_LEVELS, reference="rbb"
-    ),
+    4: TableSpec(4, PseudoCEV(r=0.15, vartheta=0.7, delta=0.5, x0=100.0), 20, _PCEV_LEVELS),
+    5: TableSpec(5, PseudoCEV(r=0.15, vartheta=1.0, delta=0.5, x0=100.0), 20, _PCEV_LEVELS),
 }
 
 _STRIKE = 100.0
@@ -92,7 +88,7 @@ def run_table(
     levels = spec.levels
     template = _contract(levels[0])
 
-    if spec.reference == "closed":
+    if isinstance(model, BlackScholes):  # the closed form; the Monte Carlo reference otherwise
         reference = [
             barrier_price(
                 model.x0, _STRIKE, lv, _MATURITY, model.r, model.sigma,
@@ -134,31 +130,15 @@ _COLUMNS = ["level", "reference_price", "rbb_price", "rbb_variance", "qep_price"
 
 
 def write_table_csv(rows: list[TableRow], out, precision: str = "short") -> None:
-    """Write rows as CSV; precision "short" keeps 6 significant digits."""
-    fmt = "{:.17g}" if precision == "full" else "{:.6g}"
-    close = False
-    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(out)
-        writer.writerow(_COLUMNS)
-        for r in rows:
-            writer.writerow([fmt.format(getattr(r, c)) for c in _COLUMNS])
-    finally:
-        if close:
-            out.close()
+    """Write rows as CSV to a path or a text stream; precision "short" keeps 6 significant digits.
+
+    Lines end with ``\\r\\n`` as ``csv.writer`` ends them.
+    """
+    table = np.array([[getattr(r, c) for c in _COLUMNS] for r in rows]).reshape(-1, len(_COLUMNS))
+    fmt = "%.17g" if precision == "full" else "%.6g"
+    np.savetxt(out, table, fmt=fmt, delimiter=",", newline="\r\n", header=",".join(_COLUMNS), comments="")
 
 
 def read_table_csv(path) -> list[TableRow]:
-    """Parse a CSV produced by :func:`write_table_csv`."""
-    if isinstance(path, io.TextIOBase):
-        fh, close = path, False
-    else:
-        fh, close = open(path, newline=""), True
-    try:
-        reader = csv.DictReader(fh)
-        return [TableRow(**{c: float(row[c]) for c in _COLUMNS}) for row in reader]
-    finally:
-        if close:
-            fh.close()
+    """Parse a CSV produced by :func:`write_table_csv`, from a path or a text stream."""
+    return [TableRow(*row) for row in np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).tolist()]

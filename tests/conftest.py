@@ -7,9 +7,9 @@ from hypothesis import settings
 
 from fqbarrier import price_grid
 from fqbarrier.brownian import brownian_product_quantizer
-from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV
+from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV, one_step_law
 from fqbarrier.price_grid import quantize_price_process
-from fqbarrier.transitions import transition_matrices
+from fqbarrier.transitions import transition_block, transition_matrices
 
 # property tests draw the same examples on every run and never time out
 settings.register_profile("fqbarrier", derandomize=True, deadline=None, database=None)
@@ -30,6 +30,12 @@ def euler_law(model, x, dt):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return OneStepLaw(False, x + model.drift(x) * dt, 0.0, model.diffusion(x) * math.sqrt(dt))
+
+
+def full_matrix(model, grid_prev, grid_next, dt):
+    """Transition probabilities from every point of ``grid_prev`` into every cell of ``grid_next``."""
+    grid_next = np.atleast_1d(np.asarray(grid_next, dtype=float))
+    return transition_block(one_step_law(model, grid_prev, dt), grid_next, 0, grid_next.size)
 
 
 # largest |log x - log x_ref| of a default grid against ``finer_grid``, on any model

@@ -81,14 +81,18 @@ class TestPriceCommands:
         assert capsys.readouterr().out.startswith("closed price = ")
 
     def test_price_closed_overflow_fails_with_one_line(self, bs_config, tmp_path, capsys):
-        # the discount factor exp(-r T) overflows a float at r = -800
+        # the discount factor exp(-r T) overflows a float at r = -800; every pricer names r and T before any dump
         _, cfg = bs_config
         cfg["model"]["r"] = -800.0
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(cfg))
-        assert main(["price-closed", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        dumps = ["--dump-grids", str(tmp_path / "grids.csv"), "--dump-transitions", str(tmp_path / "trans.csv")]
+        for command in (["price-closed"], ["price-mc"], ["price-quant", *dumps]):
+            assert main([*command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "overflows a float at r=-800.0, T=1.0" in err
+        assert not (tmp_path / "grids.csv").exists() and not (tmp_path / "trans.csv").exists()
 
     def test_price_closed_rejects_pcev(self, pcev_config, capsys):
         assert main(["price-closed", "--config", str(pcev_config)]) == 1
@@ -197,6 +201,7 @@ class TestPriceCommands:
         (lambda cfg: cfg["params"].update(estimater="conditional"), "unknown params key(s) 'estimater'"),
         (lambda cfg: cfg.update(parms=cfg.pop("params")), "unknown config key(s) 'parms'"),
         (lambda cfg: cfg["model"].update(r=None), "model.r must be a number, got None"),
+        (lambda cfg: cfg["model"].update(sigma=[1]), "model.sigma must be a number, got [1]"),
         (lambda cfg: cfg["contract"].update(barrier="high"), "contract.barrier must be a number, got 'high'"),
         (lambda cfg: cfg["params"].update(dump_grids=1), "params.dump_grids must be a file path, got 1"),
         (lambda cfg: cfg.update(params=[1]), "params must be a JSON object, got list"),
@@ -214,7 +219,7 @@ class TestPriceCommands:
          "missing contract key(s) 'payoff'; accepted: type, payoff, strike, barrier, maturity"),
         (lambda cfg: cfg["contract"].update(type="up"),
          "contract.type must be one of up-and-out, down-and-out, got 'up'"),
-    ], ids=["step", "estimater", "parms", "r-null", "barrier-text", "dump-fd", "params-list", "model-text",
+    ], ids=["step", "estimater", "parms", "r-null", "sigma-list", "barrier-text", "dump-fd", "params-list", "model-text",
             "no-contract", "top-level-list", "model-extra", "model-misspelt", "contract-misspelt",
             "contract-missing", "contract-type"])
     def test_malformed_config_fails_with_one_line_before_any_dump(self, bs_config, tmp_path, capsys, change, message):

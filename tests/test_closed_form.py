@@ -131,6 +131,18 @@ class TestSmallSigmaOverflow:
         assert price == pytest.approx(vanilla_price(100.0, 100.0, 0.5, 0.2, 0.01, PayoffType.CALL), rel=1e-12, abs=0)
 
 
+class TestDiscountOverflow:
+    """exp(-r T) overflows a float at r T = -800: both closed forms reject the input by name."""
+
+    def test_barrier_price(self):
+        with pytest.raises(ValueError, match=r"r=-800.0, T=1.0"):
+            barrier_price(100.0, 100.0, 120.0, 1.0, -800.0, 0.07, BarrierType.UP_AND_OUT, PayoffType.CALL)
+
+    def test_vanilla_price(self):
+        with pytest.raises(ValueError, match=r"r=-800.0, T=1.0"):
+            vanilla_price(100.0, 100.0, 1.0, -800.0, 0.07, PayoffType.CALL)
+
+
 class TestModelContractWrapper:
     def test_matches_direct_call(self):
         contract = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.CALL, 100.0, 115.0, 1.0)

@@ -110,6 +110,11 @@ class TestRbbPrice:
         assert a.price == b.price
         assert a.sample_variance == b.sample_variance
 
+    def test_discount_overflow_is_rejected(self):
+        cfg = McConfig(n_steps=10, n_paths=5_000, seed=3)
+        with pytest.raises(ValueError, match=r"r=-800.0, T=1.0"):
+            rbb_price_levels(replace(BS07, r=-800.0), uoc(120.0), [110.0, 120.0], cfg)
+
     def test_barrier_below_strike_prices_zero(self):
         cfg = McConfig(n_steps=10, n_paths=5_000, seed=3)
         res = rbb_price(BS07, uoc(95.0), cfg)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from fqbarrier.cli import model_from_dict
 from fqbarrier.models import (
     BlackScholes,
     PseudoCEV,
-    model_from_dict,
     one_step_law,
 )
 from tests.conftest import BS07, PCEV07, euler_law

@@ -25,8 +25,8 @@ from fqbarrier.quant_pricer import (
     quantized_kernel,
 )
 from fqbarrier.tables import TABLE_SPECS
-from fqbarrier.transitions import transition_matrices, transition_matrix
-from tests.conftest import BS07, PCEV07
+from fqbarrier.transitions import TransitionMatrix, transition_matrices, transition_steps
+from tests.conftest import BS07, PCEV07, full_matrix
 
 
 def uoc(barrier, strike=100.0):
@@ -55,8 +55,7 @@ def _chain_measure(model, contract, grid, mats=None):
     Without ``mats`` each full matrix is built as the induction reaches it.
     """
     if mats is None:
-        g, n = grid.grids, grid.n_steps
-        mats = (transition_matrix(model, g[k - 1], g[k], grid.horizon / n) for k in range(1, n + 1))
+        mats = (TransitionMatrix(k, p) for k, p in transition_steps(model, grid))
     return forward_induction(_kernels(model, contract, grid, mats))
 
 
@@ -77,15 +76,14 @@ class TestQuantizedKernel:
     def test_infinite_barrier_reduces_to_transition(self):
         gp = np.array([95.0, 100.0, 105.0])
         gn = np.array([90.0, 101.0, 112.0])
-        tm = transition_matrix(BS07, gp, gn, 0.1)
-        H = quantized_kernel(gp, gn, tm.entries, uoc(1e18), _params(BS07, gp, 10))
-        assert np.array_equal(H, tm.entries)
+        p = full_matrix(BS07, gp, gn, 0.1)
+        H = quantized_kernel(gp, gn, p, uoc(1e18), _params(BS07, gp, 10))
+        assert np.array_equal(H, p)
 
     def test_rows_beyond_barrier_vanish(self):
         gp = np.array([95.0, 100.0, 120.0])
         gn = np.array([90.0, 101.0, 118.0])
-        tm = transition_matrix(BS07, gp, gn, 0.1)
-        H = quantized_kernel(gp, gn, tm.entries, uoc(115.0), _params(BS07, gp, 10))
+        H = quantized_kernel(gp, gn, full_matrix(BS07, gp, gn, 0.1), uoc(115.0), _params(BS07, gp, 10))
         assert np.all(H[2, :] == 0.0)
         assert np.all(H[:, 2] == 0.0)  # targets above the barrier die too
 
@@ -207,6 +205,11 @@ class TestPriceBarrier:
         assert first.hex() == again.hex()
         assert put.hex() == price_barrier(BS07, dop, grid).price.hex()
         assert first > 0.0 and put > 0.0
+
+    def test_discount_overflow_is_rejected(self, quant_grid):
+        """exp(-r T) overflows a float at r T = -800; the grid of another rate passes every other check."""
+        with pytest.raises(ValueError, match=r"r=-800.0, T=1.0"):
+            price_barrier(BlackScholes(-800.0, 0.07, 100.0), uoc(115.0), quant_grid(BS07, 10))
 
     def test_knocked_out_from_start_prices_zero(self, quant_grid):
         grid = quant_grid(BS07, 10)

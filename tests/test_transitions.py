@@ -20,10 +20,9 @@ from fqbarrier.transitions import (
     mass_cells,
     transition_block,
     transition_matrices,
-    transition_matrix,
     transition_steps,
 )
-from tests.conftest import BS07, PCEV07, euler_law
+from tests.conftest import BS07, PCEV07, euler_law, full_matrix
 
 # frozen lognormal/Gaussian CDF evaluations at the single midpoint 100
 EXACT_ROW = [0.25252566906, 0.74747433094]
@@ -78,12 +77,10 @@ class TestCellBoundaries:
 
 class TestTransitionMatrix:
     def test_degenerate_single_cell(self):
-        tm = transition_matrix(BS07, [100.0], [105.0], 0.1)
-        assert tm.entries.tolist() == [[1.0]]
+        assert full_matrix(BS07, [100.0], [105.0], 0.1).tolist() == [[1.0]]
 
     def test_exact_mode_frozen_row(self):
-        tm = transition_matrix(BS07, [100.0], [90.0, 110.0], 0.1)
-        assert tm.entries[0] == pytest.approx(EXACT_ROW, abs=1e-9)
+        assert full_matrix(BS07, [100.0], [90.0, 110.0], 0.1)[0] == pytest.approx(EXACT_ROW, abs=1e-9)
 
     def test_euler_mode_frozen_row(self):
         row = transition_block(euler_law(BS07, [100.0], 0.1), [90.0, 110.0], 0, 2)[0]
@@ -115,18 +112,18 @@ class TestTransitionMatrix:
         grid, mats = quant_pipeline(PCEV07, 10)
         assert np.max(np.abs(mats[0].entries.sum(axis=1) - 1.0)) < 1e-10
         gp, gn = grid.grids[4], grid.grids[5]
-        default = transition_matrix(PCEV07, gp, gn, 0.1).entries
+        default = full_matrix(PCEV07, gp, gn, 0.1)
         assert np.array_equal(default, transition_block(euler_law(PCEV07, gp, 0.1), gn, 0, gn.size))
         assert np.array_equal(default, mats[4].entries)
 
     def test_rectangular_grids_supported(self):
-        tm = transition_matrix(BS07, [100.0, 101.0], [90.0, 100.0, 110.0], 0.1)
-        assert tm.entries.shape == (2, 3)
-        assert np.max(np.abs(tm.entries.sum(axis=1) - 1.0)) < 1e-12
+        p = full_matrix(BS07, [100.0, 101.0], [90.0, 100.0, 110.0], 0.1)
+        assert p.shape == (2, 3)
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            transition_matrix(BS07, [100.0], [90.0, 110.0], 0.0)
+            full_matrix(BS07, [100.0], [90.0, 110.0], 0.0)
 
 
 class TestTransitionBlock:
@@ -143,7 +140,7 @@ class TestTransitionBlock:
 
     def test_single_source_point_is_one_row(self):
         block = transition_block(one_step_law(BS07, [100.0], 0.1), [90.0, 100.0, 110.0], 1, 3)
-        full = transition_matrix(BS07, [100.0], [90.0, 100.0, 110.0], 0.1).entries
+        full = full_matrix(BS07, [100.0], [90.0, 100.0, 110.0], 0.1)
         assert block.shape == (1, 2)
         assert np.array_equal(block, full[:, 1:])
 
@@ -190,7 +187,7 @@ class TestMassCells:
         for x, cell in ((94.0, 0), (95.0, 0), (95.5, 1), (105.0, 1), (106.0, 2)):
             lo, hi = mass_cells(one_step_law(frozen, [x], 0.1), points)
             assert (lo[0], hi[0]) == (cell, cell + 1), x
-            assert transition_matrix(frozen, [x], points, 0.1).entries[0, cell] == 1.0
+            assert full_matrix(frozen, [x], points, 0.1)[0, cell] == 1.0
 
 
 def _marginals(mats, x0_cell=0):
@@ -206,7 +203,7 @@ def _marginals(mats, x0_cell=0):
 class TestChainMarginals:
     def test_single_step_frozen(self):
         grids = [np.array([100.0, 100.0]), np.array([90.0, 110.0])]
-        mats = [transition_matrix(BS07, grids[0], grids[1], 0.1, step=1)]
+        mats = [TransitionMatrix(1, full_matrix(BS07, grids[0], grids[1], 0.1))]
         w = _marginals(mats)
         assert w[0].tolist() == [1.0, 0.0]
         assert w[1] == pytest.approx(EXACT_ROW, abs=1e-9)
@@ -238,9 +235,8 @@ class TestChainMarginals:
 
 class TestDump:
     def test_csv_rows(self, tmp_path):
-        tm = transition_matrix(BS07, [100.0], [90.0, 110.0], 0.1, step=1)
         out = tmp_path / "p.csv"
-        dump_transitions([(tm.step, tm.entries)], out)
+        dump_transitions([(1, full_matrix(BS07, [100.0], [90.0, 110.0], 0.1))], out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,i,j,p"
         assert len(lines) == 3
