@@ -265,14 +265,9 @@ def main(argv=None) -> int:
             print(f"wrote {q.n_paths} paths ({factors}) to {args.out}")
             return 0
         if args.command == "table":
-            rows = run_table(
-                args.table,
-                seed=args.seed,
-                budget=args.budget,
-                mc_paths=args.rbb_paths,
-                reference_paths=args.ref_paths,
-                reference_steps=args.ref_steps,
-            )
+            sizes = {"mc_paths": args.rbb_paths, "reference_paths": args.ref_paths, "reference_steps": args.ref_steps}
+            rows = run_table(args.table, seed=args.seed, budget=args.budget,  # run_table's sizes where unset
+                             **{key: n for key, n in sizes.items() if n is not None})
             if args.out:
                 write_table_csv(rows, args.out, args.precision)
                 print(f"wrote table {args.table} to {args.out}")

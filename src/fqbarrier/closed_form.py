@@ -36,10 +36,10 @@ def vanilla_price(x0: float, strike: float, maturity: float, rate: float, sigma:
     return strike * disc * ndtr(-d2) - x0 * ndtr(-d1)
 
 
-def _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta):
-    """The four reflection building blocks for a zero-rebate barrier option.
+def _pair(x0, strike, barrier, maturity, rate, sigma, phi, eta, at_strike):
+    """A plain reflection building block and its reflected twin: (A, C) ``at_strike``, else (B, D).
 
-    The reflected blocks C and D take each (L/x0)^k * N(z) as
+    The reflected block takes each (L/x0)^k * N(z) as
     exp(k log(L/x0) + log N(z)): at small sigma the power overflows a
     float while N(z) underflows, and their product stays finite.
     """
@@ -51,16 +51,15 @@ def _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta):
     def reflected(k, z):
         return math.exp(k * log_ratio + log_ndtr(z))
 
-    x1 = math.log(x0 / strike) / srt + (1.0 + mu) * srt
-    x2 = math.log(x0 / barrier) / srt + (1.0 + mu) * srt
-    y1 = math.log(barrier**2 / (x0 * strike)) / srt + (1.0 + mu) * srt
-    y2 = log_ratio / srt + (1.0 + mu) * srt
-
-    A = phi * x0 * ndtr(phi * x1) - phi * strike * disc * ndtr(phi * (x1 - srt))
-    B = phi * x0 * ndtr(phi * x2) - phi * strike * disc * ndtr(phi * (x2 - srt))
-    C = phi * x0 * reflected(2.0 * mu + 2.0, eta * y1) - phi * strike * disc * reflected(2.0 * mu, eta * (y1 - srt))
-    D = phi * x0 * reflected(2.0 * mu + 2.0, eta * y2) - phi * strike * disc * reflected(2.0 * mu, eta * (y2 - srt))
-    return A, B, C, D
+    if at_strike:
+        x = math.log(x0 / strike) / srt + (1.0 + mu) * srt
+        y = math.log(barrier**2 / (x0 * strike)) / srt + (1.0 + mu) * srt
+    else:
+        x = math.log(x0 / barrier) / srt + (1.0 + mu) * srt
+        y = log_ratio / srt + (1.0 + mu) * srt
+    plain = phi * x0 * ndtr(phi * x) - phi * strike * disc * ndtr(phi * (x - srt))
+    mirror = phi * x0 * reflected(2.0 * mu + 2.0, eta * y) - phi * strike * disc * reflected(2.0 * mu, eta * (y - srt))
+    return plain, mirror
 
 
 def barrier_price(
@@ -95,14 +94,15 @@ def barrier_price(
         return 0.0
     phi = 1.0 if call else -1.0
     eta = -1.0 if up else 1.0
-    strike_above = strike > barrier
-    A, B, C, D = _blocks(x0, strike, barrier, maturity, rate, sigma, phi, eta)
+    args = (x0, strike, barrier, maturity, rate, sigma, phi, eta)
+    # only the blocks a case combines are evaluated: a reflected block it
+    # does not read can overflow at small sigma
     if up == call:  # up-and-out call, down-and-out put
+        (A, C), (B, D) = _pair(*args, True), _pair(*args, False)
         price = A - B + C - D
-    elif up:
-        price = B - D if strike_above else A - C
-    else:
-        price = A - C if strike_above else B - D
+    else:  # A - C or B - D, by the side of the strike
+        plain, reflected = _pair(*args, (strike > barrier) != up)
+        price = plain - reflected
     # the blocks can cancel to a few ulps below 0; a knock-out price is never negative
     return max(price, 0.0)
 

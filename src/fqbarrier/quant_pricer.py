@@ -27,10 +27,12 @@ exactly 1.0 wherever its exponent is at most -54 ln 2, so each block
 evaluates it only on the part of its band nearer the barrier.  The
 block's mass is then pushed into the band of the next date's measure.  A
 call holds two 32-row work arrays per share (below) and a few
-d_N-vectors, so memory grows neither with the step count nor with d_N^2.
-The prices agree with the full-matrix chain e0 H_1 ... H_n within about
-5e-15 relative (the order of the blockwise sums; the tests bound it by
-1e-13), and a chain that prices exactly 0 still does.
+d_N-vectors, so memory grows neither with the step count nor with d_N^2:
+no kernel H_k is ever formed in full.  The prices agree with the
+full-matrix chain e0 H_1 ... H_n within about 5e-15 relative (the order
+of the blockwise sums); the tests build that chain from the full-range
+``transition_block`` and the unbanded bridge CDFs, bound the gap by
+1e-13, and check that a chain that prices exactly 0 still does.
 
 When the process may run on two or more cores, a step with at least
 ``_SPLIT_BLOCKS`` blocks splits them into two shares of about equal CDF
@@ -62,15 +64,11 @@ from .contracts import BarrierContract, BarrierType, PricingResult, check_discou
 from .models import Model, one_step_law
 from .price_grid import QuantizedPriceGrid, quantize_price_process
 from .transitions import mass_cells, transition_block
-from .transitions import transition_matrices  # noqa: F401  the benchmark tracer wraps this attribute
 
-__all__ = [
-    "quantized_kernel",
-    "forward_induction",
-    "prune_knocked_rows",
-    "price_barrier",
-    "price_barrier_quant",
-]
+__all__ = ["price_barrier", "price_barrier_quant"]
+
+# perfbench/tracing.py still looks these names up to wrap them; delete this line when it drops those wraps
+quantized_kernel = forward_induction = prune_knocked_rows = transition_matrices = None
 
 
 # 1 - exp(e) rounds to exactly 1.0 once exp(e) <= 2**-54, that is for
@@ -103,11 +101,11 @@ class _Survival:
         reach[self.degenerate] = np.inf  # sigma = 0 rows keep the CDFs' degenerate values over the whole row
         self.edge = np.searchsorted(y - L, -reach, "right") if self.up else np.searchsorted(y - L, reach, "left")
 
-    def damp(self, block: np.ndarray, rows: slice, cols: slice, spare: np.ndarray | None = None) -> None:
+    def damp(self, block: np.ndarray, rows: slice, cols: slice, spare: np.ndarray) -> None:
         """Multiply ``block``, the entries of rows ``rows`` and columns ``cols``, by the factor in place.
 
         ``spare``, a flat array of at least ``block.size`` entries, holds the
-        factors; by default they go to a new array.
+        factors.
         """
         edge = self.edge[rows]
         if self.up:
@@ -117,14 +115,15 @@ class _Survival:
         if a >= z:
             return
         xs, ys, sigma = self.x[rows, None], self.y[a:z], self.sigma[rows, None]
-        out = None if spare is None else spare[: xs.size * ys.size].reshape(xs.size, ys.size)
+        out = spare[: xs.size * ys.size].reshape(xs.size, ys.size)
         # bridge_max_cdf on live points, and 1 - bridge_min_cdf too: for
         # b = fl(1 - exp(e)), 1 - (1 - b) == b by Sterbenz's lemma
         survival = no_crossing(xs, ys, self.L, BridgeParams(self.n_steps, self.horizon, sigma), out=out)
         still = self.degenerate[rows]
         if still.any():
-            # through the bridge module: damp may run on the pool worker, and
-            # the benchmark tracer wraps this module's attributes of these names
+            # the benchmark tracer wraps quant_pricer's attributes of these
+            # names; calling them through the bridge module keeps the pool
+            # worker, which may run damp, out of the tracer's wrappers
             zero = BridgeParams(self.n_steps, self.horizon, 0.0)
             survival[still] = (
                 bridge.bridge_max_cdf(xs[still], ys, self.L, zero)
@@ -133,96 +132,6 @@ class _Survival:
             )
         band = block[:, a - cols.start : z - cols.start]
         np.multiply(band, survival, out=band)
-
-
-def quantized_kernel(
-    grid_prev,
-    grid_next,
-    p: np.ndarray,
-    contract: BarrierContract,
-    params: BridgeParams,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Entrywise product of the transition probabilities and the barrier survival factor.
-
-    ``p[i, j]`` is the probability of moving from ``grid_prev[i]`` into the
-    cell of ``grid_next[j]``; both grids ascend.  ``params.sigma_x`` must
-    hold the diffusion at the source grid points, column-shaped so it
-    broadcasts down the rows.  The kernel is written into ``out``, which may
-    be ``p`` itself; by default it is a new array and ``p`` is left as is.
-
-    An entry with an end beyond the barrier is 0.  Between live points each
-    block of rows evaluates the factor only on the band of columns where it
-    differs from 1.0 (see ``_Survival``); the rest of the row keeps p.
-    """
-    gp = np.asarray(grid_prev, dtype=float)
-    gn = np.asarray(grid_next, dtype=float)
-    if np.shape(p) != (gp.size, gn.size):
-        raise ValueError("transition matrix shape does not match the grids")
-    if np.any(gp[1:] < gp[:-1]) or np.any(gn[1:] < gn[:-1]):
-        raise ValueError("grids must be ascending")
-    if out is None:
-        out = np.array(p, dtype=float)
-    elif out is not p:
-        out[...] = p
-    r0, r1 = _live_cells(gp, contract)
-    c0, c1 = _live_cells(gn, contract)
-    out[:r0] = out[r1:] = 0.0
-    out[:, :c0] = out[:, c1:] = 0.0
-    sigma = np.broadcast_to(np.asarray(params.sigma_x, dtype=float), (gp.size, 1))[r0:r1, 0]
-    survival = _Survival(gp[r0:r1], gn[c0:c1], sigma, contract, params.n_steps, params.horizon)
-    for i in range(0, r1 - r0, _BAND_ROWS):
-        rows = slice(i, min(i + _BAND_ROWS, r1 - r0))
-        survival.damp(out[r0 + rows.start : r0 + rows.stop, c0:c1], rows, slice(0, c1 - c0))
-    return out
-
-
-def forward_induction(kernels) -> np.ndarray:
-    """Terminal sub-probability masses of the chain started at x0.
-
-    Row 0 of the first kernel is the law after one step from x0 and starts
-    the recursion.  ``kernels`` may be a generator: each kernel is released
-    before the next one is drawn.
-    """
-    pi = None
-    step = 0
-    for H in kernels:
-        if pi is None:
-            pi = H[0].copy()
-        elif H.shape[0] != pi.size:
-            raise ValueError(f"kernel {step} has {H.shape[0]} rows, expected {pi.size}")
-        else:
-            pi = pi @ H
-        step += 1
-        del H
-    if pi is None:
-        raise ValueError("need at least one kernel")
-    return pi
-
-
-def prune_knocked_rows(
-    kernels: list[np.ndarray],
-    grids,
-    contract: BarrierContract,
-) -> list[np.ndarray]:
-    """Zero the kernel rows whose source point sits beyond the barrier.
-
-    Those rows are already structurally zero (the survival factor kills
-    them), so the pruned kernels reproduce the unpruned computation
-    bit for bit.
-    """
-    # no longer called by the pricer; kept because the benchmark tracer
-    # wraps this module attribute by name
-    out = []
-    up = contract.barrier_type is BarrierType.UP_AND_OUT
-    for k, H in enumerate(kernels):
-        source = np.asarray(grids[k], dtype=float)
-        knocked = source > contract.barrier if up else source < contract.barrier
-        if np.any(knocked):
-            H = H.copy()
-            H[knocked, :] = 0.0
-        out.append(H)
-    return out
 
 
 def _live_cells(points: np.ndarray, contract: BarrierContract) -> tuple[int, int]:
@@ -351,6 +260,7 @@ def price_barrier_quant(
 ) -> PricingResult:
     """End-to-end quantization price: build paths and grids, then induct under the model's one-step law."""
     start = time.perf_counter()
+    check_discount(model.r, contract.maturity)  # before the quantizer and the grid ODE are paid for
     quantizer = brownian_product_quantizer(budget, contract.maturity)
     grid = quantize_price_process(model, quantizer, n_steps)
     result = price_barrier(model, contract, grid)

@@ -15,6 +15,7 @@ live cells, so each row evaluates its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,9 +39,10 @@ class TableSpec:
     model: Model
     n_steps: int
     levels: tuple[float, ...]
-    mc_paths: int = 1_000_000
-    reference_paths: int = 10_000_000
-    reference_steps: int = 100
+    # not fields, since every table runs its reference at these sizes (run_table's defaults);
+    # perfbench/make_reference.py reads them here
+    reference_paths: ClassVar[int] = 10_000_000
+    reference_steps: ClassVar[int] = 100
 
 
 _BS_LEVELS = (105.0, 110.0, 115.0, 120.0, 125.0, 130.0)
@@ -76,11 +78,11 @@ def run_table(
     table_id: int,
     seed: int = DEFAULT_SEED,
     budget: int = 1000,
-    mc_paths: int | None = None,
-    reference_paths: int | None = None,
-    reference_steps: int | None = None,
+    mc_paths: int = 1_000_000,
+    reference_paths: int = TableSpec.reference_paths,
+    reference_steps: int = TableSpec.reference_steps,
 ) -> list[TableRow]:
-    """Recompute one benchmark table; overrides left at None keep the table's Monte Carlo sizes."""
+    """Recompute one benchmark table; the reference sizes serve the pseudo-CEV tables only."""
     if table_id not in TABLE_SPECS:
         raise ValueError(f"table_id must be one of {sorted(TABLE_SPECS)}")
     spec = TABLE_SPECS[table_id]
@@ -97,14 +99,10 @@ def run_table(
             for lv in levels
         ]
     else:
-        ref_cfg = McConfig(
-            n_steps=spec.reference_steps if reference_steps is None else reference_steps,
-            n_paths=spec.reference_paths if reference_paths is None else reference_paths,
-            seed=seed + REFERENCE_SEED_OFFSET,
-        )
+        ref_cfg = McConfig(n_steps=reference_steps, n_paths=reference_paths, seed=seed + REFERENCE_SEED_OFFSET)
         reference = [r.price for r in rbb_price_levels(model, template, levels, ref_cfg)]
 
-    mc_cfg = McConfig(n_steps=spec.n_steps, n_paths=spec.mc_paths if mc_paths is None else mc_paths, seed=seed)
+    mc_cfg = McConfig(n_steps=spec.n_steps, n_paths=mc_paths, seed=seed)
     mc = rbb_price_levels(model, template, levels, mc_cfg)
 
     quantizer = brownian_product_quantizer(budget, _MATURITY)

@@ -16,30 +16,21 @@ rounding (one ulp on the table grids); rows are not renormalized.
 ``transition_block`` evaluates a law's rows over a contiguous range of
 destination cells into arrays the caller may supply, so that the pricer
 builds one law per step and reuses one pair of arrays across its row
-blocks; ``transition_steps`` takes its full range one step at a time,
-for ``dump_transitions`` and ``transition_matrices``.  ``mass_cells``
-gives, for each source point, the range of cells outside which its law
-has no mass in double precision: none at all above it, and at most
-ndtr(-9) = 1.1e-19 below.
+blocks; ``transition_steps`` takes its full range one step at a time
+for ``dump_transitions``, the library's only full-range use.
+``mass_cells`` gives, for each source point, the range of cells outside
+which its law has no mass in double precision: none at all above it, and
+at most ndtr(-9) = 1.1e-19 below.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import Model, OneStepLaw, one_step_law
 from .price_grid import QuantizedPriceGrid
 
-__all__ = [
-    "TransitionMatrix",
-    "mass_cells",
-    "transition_block",
-    "transition_matrices",
-    "transition_steps",
-    "dump_transitions",
-]
+__all__ = ["mass_cells", "transition_block", "transition_steps", "dump_transitions"]
 
 
 # scipy's ndtr rounds to exactly 1.0 from 8.2924 up; the upper cut keeps a
@@ -47,18 +38,6 @@ __all__ = [
 # Below the lower cut the CDF is at most ndtr(-9) = 1.1e-19.
 _UPPER_CUT = 8.5
 _LOWER_CUT = -9.0
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic transition probabilities for one pricing step."""
-
-    step: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.ndim != 2:
-            raise ValueError("entries must be a matrix")
 
 
 def mass_cells(law: OneStepLaw, grid_next) -> np.ndarray:
@@ -118,11 +97,6 @@ def transition_steps(model: Model, grid: QuantizedPriceGrid):
     dt = grid.horizon / grid.n_steps
     for k in range(1, grid.n_steps + 1):
         yield k, transition_block(one_step_law(model, grid.grids[k - 1], dt), grid.grids[k], 0, grid.d_n)
-
-
-def transition_matrices(model: Model, grid: QuantizedPriceGrid) -> list[TransitionMatrix]:
-    """All n step matrices of a quantized price grid."""
-    return [TransitionMatrix(k, p) for k, p in transition_steps(model, grid)]
 
 
 def dump_transitions(steps, path) -> None:

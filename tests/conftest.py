@@ -6,10 +6,12 @@ import pytest
 from hypothesis import settings
 
 from fqbarrier import price_grid
+from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
+from fqbarrier.contracts import BarrierType
 from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV, one_step_law
 from fqbarrier.price_grid import quantize_price_process
-from fqbarrier.transitions import transition_block, transition_matrices
+from fqbarrier.transitions import transition_block, transition_steps
 
 # property tests draw the same examples on every run and never time out
 settings.register_profile("fqbarrier", derandomize=True, deadline=None, database=None)
@@ -36,6 +38,36 @@ def full_matrix(model, grid_prev, grid_next, dt):
     """Transition probabilities from every point of ``grid_prev`` into every cell of ``grid_next``."""
     grid_next = np.atleast_1d(np.asarray(grid_next, dtype=float))
     return transition_block(one_step_law(model, grid_prev, dt), grid_next, 0, grid_next.size)
+
+
+def chain_measures(model, contract, grid):
+    """The survival measures e0 H_1 ... H_k of the full-matrix chain, for k = 1..n, each over every cell.
+
+    H_k = g * p_k entrywise over every point of date k-1 and cell of date
+    k: p_k is ``full_matrix`` and g the bridge survival factor at the
+    barrier, ``bridge_max_cdf`` (up-and-out) or 1 - ``bridge_min_cdf``
+    (down-and-out) with the diffusion frozen at the source point, over the
+    whole matrix.  Nothing here bands, cuts or skips, so this is the oracle
+    of the pricer's blockwise measure.
+    """
+    dt = grid.horizon / grid.n_steps
+    up = contract.barrier_type is BarrierType.UP_AND_OUT
+    pi = np.eye(1, grid.d_n)[0]
+    for k in range(1, grid.n_steps + 1):
+        x, y = grid.grids[k - 1], grid.grids[k]
+        params = BridgeParams(grid.n_steps, grid.horizon, np.asarray(model.diffusion(x))[:, None])
+        if up:
+            g = bridge_max_cdf(x[:, None], y[None, :], contract.barrier, params)
+        else:
+            g = 1.0 - bridge_min_cdf(x[:, None], y[None, :], contract.barrier, params)
+        pi = pi @ (full_matrix(model, x, y, dt) * g)
+        yield pi
+
+
+def chain_price(model, contract, grid):
+    """Discounted payoff under the full-matrix chain's terminal measure."""
+    *_, pi = chain_measures(model, contract, grid)
+    return np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(grid.grids[-1]))
 
 
 # largest |log x - log x_ref| of a default grid against ``finer_grid``, on any model
@@ -84,14 +116,14 @@ def quant_grid(bq966):
 
 @pytest.fixture(scope="session")
 def quant_pipeline(quant_grid):
-    """Factory for (grid, full transition matrices) pairs, cached per configuration."""
+    """Factory for (grid, list of the full step matrices) pairs, cached per configuration."""
     cache = {}
 
     def build(model, n_steps):
         key = (model, n_steps)
         if key not in cache:
             grid = quant_grid(model, n_steps)
-            cache[key] = (grid, transition_matrices(model, grid))
+            cache[key] = (grid, [p for _, p in transition_steps(model, grid)])
         return cache[key]
 
     return build

@@ -7,6 +7,7 @@ column's scheme with 4e6 paths at n=20 and 1e6 paths at n=100 (about 25 s
 on one core), so the module takes several minutes end to end.
 """
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -21,9 +22,9 @@ from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.gaussian import lloyd_step, optimal_normal_quantizer
 from fqbarrier.mc_pricer import Estimator, McConfig, rbb_price, rbb_price_levels
 from fqbarrier.models import one_step_law
-from fqbarrier.quant_pricer import price_barrier, quantized_kernel
+from fqbarrier.quant_pricer import price_barrier
 from fqbarrier.tables import DEFAULT_SEED, REFERENCE_SEED_OFFSET, TABLE_SPECS, run_table
-from tests.conftest import BS07
+from tests.conftest import BS07, chain_measures
 
 # benchmark values as printed in the reference tables
 TRUE_SIGMA_007 = {105: 0.034, 110: 0.59, 115: 2.58, 120: 6.01, 125: 9.58, 130: 12.07}
@@ -93,6 +94,7 @@ def test_criterion_4_rbb_monte_carlo_table_2(table_rows):
     the closed-form bound is applied to the same estimator at n=100.
     """
     spec = TABLE_SPECS[2]
+    mc_paths = inspect.signature(run_table).parameters["mc_paths"].default  # the column's path count
     template = uoc(spec.levels[0])
     same_scheme = rbb_price_levels(
         spec.model,
@@ -107,7 +109,7 @@ def test_criterion_4_rbb_monte_carlo_table_2(table_rows):
     details = []
     for row, ref, fin in zip(table_rows(2), same_scheme, fine):
         level = int(row.level)
-        se = math.sqrt(row.rbb_variance / spec.mc_paths)
+        se = math.sqrt(row.rbb_variance / mc_paths)
         bias = row.rbb_price - row.reference_price
         z = (row.rbb_price - ref.price) / math.hypot(se, ref.std_error)
         fine_tol = 3.0 * fin.std_error + 0.02
@@ -194,7 +196,7 @@ def test_criterion_9_structural_invariants(quant_pipeline):
     checks = []
 
     grid, mats = quant_pipeline(BS07, 20)
-    row_sum_dev = max(float(np.max(np.abs(tm.entries.sum(axis=1) - 1.0))) for tm in mats)
+    row_sum_dev = max(float(np.max(np.abs(p.sum(axis=1) - 1.0))) for p in mats)
     checks.append(("row sums", row_sum_dev < 1e-10))
 
     deficit = 0.0
@@ -206,16 +208,7 @@ def test_criterion_9_structural_invariants(quant_pipeline):
         deficit = max(deficit, float(np.max(np.abs(raw.sum(axis=1) - 1.0))))
     checks.append(("pre-normalization deficit", deficit < 1e-6))
 
-    contract = uoc(115.0)
-    pi = np.zeros(966)
-    pi[0] = 1.0
-    masses = [1.0]
-    for k, tm in enumerate(mats):
-        gp = grid.grids[k]
-        sigma = np.asarray(BS07.diffusion(gp))[:, None]
-        H = quantized_kernel(gp, grid.grids[k + 1], tm.entries, contract, BridgeParams(20, 1.0, sigma))
-        pi = pi @ H
-        masses.append(float(pi.sum()))
+    masses = [1.0] + [float(pi.sum()) for pi in chain_measures(BS07, uoc(115.0), grid)]
     checks.append(("mass nonincreasing", all(a >= b - 1e-15 for a, b in zip(masses, masses[1:]))))
 
     checks.append(("knocked-out price exactly 0", price_barrier(BS07, uoc(95.0), grid).price == 0.0))

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from fqbarrier.closed_form import barrier_price, price_closed_form, vanilla_price
@@ -129,6 +130,41 @@ class TestSmallSigmaOverflow:
         A, B, C, D = mp_blocks(*args, phi=1, eta=-1)
         assert price == pytest.approx(float(A - B + C - D), rel=1e-12, abs=0)
         assert price == pytest.approx(vanilla_price(100.0, 100.0, 0.5, 0.2, 0.01, PayoffType.CALL), rel=1e-12, abs=0)
+
+
+    def test_down_and_out_call_reads_no_unused_reflected_block(self):
+        """The strike pair's reflected block C overflows a float here; B - D, the price, is 0.
+
+        2 mu = 2 r / sigma^2 - 1 = -74380, and the forward ends near 50, far below L = 121.2.
+        """
+        args = (135.43, 14.35, 121.2, 1.626, -0.610, 0.00405)
+        assert barrier_price(*args, BarrierType.DOWN_AND_OUT, PayoffType.CALL) == 0.0
+
+    def test_random_inputs_price_or_raise_value_error(self):
+        """x0 1e-6..1e6, K within 10x and L within 10^0.5 of x0, T 1e-3..30, r +-1, sigma 0.003-3, every kind.
+
+        Only finiteness and sign are checked: at T near 30 and r near -1 the
+        blocks cancel to about 1e-11 x0, which bounds against the vanilla
+        price or monotonicity in the barrier would have to allow for.
+        """
+        rng = np.random.default_rng(2026)
+        kinds = [(b, p) for b in BarrierType for p in PayoffType]
+        for _ in range(3000):
+            x0 = 10.0 ** rng.uniform(-6.0, 6.0)
+            args = (
+                x0,
+                x0 * 10.0 ** rng.uniform(-1.0, 1.0),
+                x0 * 10.0 ** rng.uniform(-0.5, 0.5),
+                10.0 ** rng.uniform(-3.0, math.log10(30.0)),
+                rng.uniform(-1.0, 1.0),
+                10.0 ** rng.uniform(math.log10(0.003), math.log10(3.0)),
+                *kinds[rng.integers(len(kinds))],
+            )
+            try:
+                price = barrier_price(*args)
+            except ValueError:
+                continue
+            assert math.isfinite(price) and price >= 0.0, args
 
 
 class TestDiscountOverflow:

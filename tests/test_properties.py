@@ -16,8 +16,8 @@ from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.models import BlackScholes, PseudoCEV
 from fqbarrier.price_grid import quantize_price_process
-from fqbarrier.quant_pricer import forward_induction, price_barrier
-from fqbarrier.transitions import transition_matrices
+from fqbarrier.quant_pricer import price_barrier
+from fqbarrier.transitions import transition_steps
 from tests.conftest import BS07, GRID_TOL, PCEV07, PCEV10, finer_grid, grid_log_error
 
 MODELS = [BS07, BlackScholes(r=0.05, sigma=0.3, x0=100.0), PCEV07, PCEV10]
@@ -37,7 +37,9 @@ def test_price_bounded_by_vanilla_and_monotone_in_barrier(
 ):
     grid = quantize_price_process(model, brownian_product_quantizer(budget, maturity), n_steps)
     # the same grid with the barrier removed: the chain without survival factors
-    vanilla_measure = forward_induction(tm.entries for tm in transition_matrices(model, grid))
+    vanilla_measure = np.eye(1, grid.d_n)[0]
+    for _, p in transition_steps(model, grid):
+        vanilla_measure = vanilla_measure @ p
     disc = math.exp(-model.r * maturity)
     prices = []
     for barrier in sorted(levels):

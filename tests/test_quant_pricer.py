@@ -17,16 +17,14 @@ from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV, one_step_law
 from fqbarrier.price_grid import quantize_price_process
 from fqbarrier.quant_pricer import (
     _BAND_ROWS,
+    _live_cells,
+    _Survival,
     _survival_measure,
-    forward_induction,
     price_barrier,
     price_barrier_quant,
-    prune_knocked_rows,
-    quantized_kernel,
 )
 from fqbarrier.tables import TABLE_SPECS
-from fqbarrier.transitions import TransitionMatrix, transition_matrices, transition_steps
-from tests.conftest import BS07, PCEV07, full_matrix
+from tests.conftest import BS07, PCEV07, chain_measures, chain_price, full_matrix
 
 
 def uoc(barrier, strike=100.0):
@@ -37,32 +35,12 @@ def doc(barrier, strike=100.0):
     return BarrierContract(BarrierType.DOWN_AND_OUT, PayoffType.CALL, strike, barrier, 1.0)
 
 
-def _params(model, grid_prev, n_steps, horizon=1.0):
-    sigma = np.asarray(model.diffusion(np.asarray(grid_prev)))[:, None]
-    return BridgeParams(n_steps, horizon, sigma)
-
-
-def _kernels(model, contract, grid, mats):
-    """Full d_N x d_N kernels H_1 ... H_n of the chain, one per matrix that ``mats`` yields."""
-    g = grid.grids
-    for k, tm in enumerate(mats):
-        yield quantized_kernel(g[k], g[k + 1], tm.entries, contract, _params(model, g[k], grid.n_steps))
-
-
-def _chain_measure(model, contract, grid, mats=None):
-    """e0 H_1 ... H_n over every cell of every date.
-
-    Without ``mats`` each full matrix is built as the induction reaches it.
-    """
-    if mats is None:
-        mats = (TransitionMatrix(k, p) for k, p in transition_steps(model, grid))
-    return forward_induction(_kernels(model, contract, grid, mats))
-
-
-def _chain_price(model, contract, grid, mats=None):
-    """Discounted payoff under e0 H_1 ... H_n."""
-    pi = _chain_measure(model, contract, grid, mats)
-    return np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(grid.grids[-1]))
+def _damped(model, x, y, block, contract, n_steps=10):
+    """``block`` times the survival factors between the live points ``x`` and ``y``, by ``_Survival.damp`` on one band."""
+    survival = _Survival(x, y, np.asarray(model.diffusion(x), dtype=float), contract, n_steps, 1.0)
+    out = np.array(block, dtype=float)
+    survival.damp(out, slice(0, x.size), slice(0, y.size), spare=np.empty(out.size))
+    return out
 
 
 def _live_range(points, contract):
@@ -72,32 +50,27 @@ def _live_range(points, contract):
     return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
 
 
-class TestQuantizedKernel:
-    def test_infinite_barrier_reduces_to_transition(self):
+class TestSurvival:
+    def test_infinite_barrier_leaves_the_block_unchanged(self):
         gp = np.array([95.0, 100.0, 105.0])
         gn = np.array([90.0, 101.0, 112.0])
         p = full_matrix(BS07, gp, gn, 0.1)
-        H = quantized_kernel(gp, gn, p, uoc(1e18), _params(BS07, gp, 10))
-        assert np.array_equal(H, p)
+        assert np.array_equal(_damped(BS07, gp, gn, p, uoc(1e18)), p)
 
-    def test_rows_beyond_barrier_vanish(self):
+    def test_points_beyond_barrier_are_not_live(self):
         gp = np.array([95.0, 100.0, 120.0])
         gn = np.array([90.0, 101.0, 118.0])
-        H = quantized_kernel(gp, gn, full_matrix(BS07, gp, gn, 0.1), uoc(115.0), _params(BS07, gp, 10))
-        assert np.all(H[2, :] == 0.0)
-        assert np.all(H[:, 2] == 0.0)  # targets above the barrier die too
+        assert _live_cells(gp, uoc(115.0)) == _live_cells(gn, uoc(115.0)) == (0, 2)
+        assert _live_cells(gp, doc(100.0)) == _live_cells(gn, doc(100.0)) == (1, 3)
+        # the oracle's survival factor kills the same rows and columns
+        params = BridgeParams(10, 1.0, np.asarray(BS07.diffusion(gp))[:, None])
+        g = bridge_max_cdf(gp[:, None], gn[None, :], 115.0, params)
+        assert np.all(g[2, :] == 0.0) and np.all(g[:, 2] == 0.0)
 
     def test_single_cell_frozen_value(self):
-        H = quantized_kernel([100.0], [100.0], np.array([[1.0]]), uoc(105.0), _params(BS07, [100.0], 10))
+        x = np.array([100.0])
+        H = _damped(BS07, x, x, np.array([[1.0]]), uoc(105.0))
         assert H[0, 0] == pytest.approx(-math.expm1(-500.0 / 49.0), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            quantized_kernel([100.0], [100.0], np.eye(3), uoc(105.0), _params(BS07, [100.0], 10))
-
-    def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError, match="ascending"):
-            quantized_kernel([100.0], [101.0, 99.0], np.ones((1, 2)), uoc(105.0), _params(BS07, [100.0], 10))
 
     @pytest.mark.parametrize("barrier_type", [BarrierType.UP_AND_OUT, BarrierType.DOWN_AND_OUT], ids=["up", "down"])
     @pytest.mark.parametrize("case", ["straddle", "source_on_barrier", "zero_sigma"])
@@ -107,6 +80,8 @@ class TestQuantizedKernel:
         With n = T = 1 and a source one unit inside the barrier at sigma = 1
         the exponent is e = -2 |y - L|, so the columns put e on both sides of
         -54 ln 2 = -37.43, exactly on the band edge -38 and at 0 (y == L).
+        A dead row or column has a bridge CDF of 0 and lies outside the live
+        range that ``_Survival`` is built on.
         """
         L, side = 100.0, (-1.0 if barrier_type is BarrierType.UP_AND_OUT else 1.0)
         e = np.array([-40.0, -38.0, -37.9, -37.5, -37.44, -37.42, -37.0, -36.5, -36.0, -20.0, -1.0, -0.3, -0.01, 0.0])
@@ -121,77 +96,37 @@ class TestQuantizedKernel:
         y = np.sort(L + side * offsets)
         order = np.argsort([L + side * d for d, _ in rows])
         x = np.array([L + side * rows[i][0] for i in order])
-        sigma = np.array([rows[i][1] for i in order])[:, None]
+        sigma = np.array([rows[i][1] for i in order])
         p = np.random.default_rng(7).uniform(0.01, 1.0, size=(x.size, y.size))
-        params = BridgeParams(1, 1.0, sigma)
+        params = BridgeParams(1, 1.0, sigma[:, None])
         contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, L, 1.0)
         if barrier_type is BarrierType.UP_AND_OUT:
             expected = p * bridge_max_cdf(x[:, None], y[None, :], L, params)
         else:
             expected = p * (1 - bridge_min_cdf(x[:, None], y[None, :], L, params))
-        H = quantized_kernel(x, y, p, contract, params)
+        live_rows, live_cols = (slice(*_live_cells(points, contract)) for points in (x, y))
+        dead = np.ones_like(p, dtype=bool)
+        dead[live_rows, live_cols] = False
+        assert np.all(expected[dead] == 0.0)
+        p, expected = p[live_rows, live_cols], expected[live_rows, live_cols]
+        H = p.copy()
+        survival = _Survival(x[live_rows], y[live_cols], sigma[live_rows], contract, 1, 1.0)
+        survival.damp(H, slice(0, H.shape[0]), slice(0, H.shape[1]), spare=np.empty(H.size))
         assert np.array_equal(H, expected)
         # the case exercises a skipped entry and one just inside -37.43 that is not p
         assert np.any((H == p) & (expected == p)) and np.any((H != p) & (H != 0.0))
 
-    def test_leaves_p_unchanged(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        for contract in (uoc(115.0), doc(95.0)):
-            for k in (0, 5):
-                p = mats[k].entries
-                before = p.copy()
-                H = quantized_kernel(grid.grids[k], grid.grids[k + 1], p, contract, _params(BS07, grid.grids[k], 10))
-                assert np.array_equal(p, before) and H is not p
 
-
-class TestForwardInduction:
+class TestChainOracle:
     def test_reduces_to_chain_marginal_without_barrier(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
-        pi = forward_induction(tm.entries for tm in mats)
+        *_, pi = chain_measures(BS07, uoc(1e18), grid)
         w = np.zeros(grid.d_n)
         w[0] = 1.0
-        for tm in mats:
-            w = w @ tm.entries
+        for p in mats:
+            w = w @ p
         assert pi == pytest.approx(w, abs=1e-14)
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_kernels_kill_mass(self):
-        kernels = [np.zeros((3, 3))] * 2
-        pi = forward_induction(kernels)
-        assert pi.sum() == 0.0
-
-    def test_single_step_frozen(self):
-        H = np.array([[-math.expm1(-500.0 / 49.0)]])
-        pi = forward_induction([H])
-        assert pi[0] == pytest.approx(0.9999629810881006, abs=1e-10)
-
-    def test_dimension_checks(self):
-        with pytest.raises(ValueError):
-            forward_induction([])
-        with pytest.raises(ValueError):
-            forward_induction([np.eye(2), np.eye(3)])
-        with pytest.raises(ValueError):
-            forward_induction(iter([np.eye(2), np.eye(2), np.eye(3)]))
-
-
-class TestPruning:
-    def test_bit_identical_prices(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        contract = uoc(115.0)
-        kernels = list(_kernels(BS07, contract, grid, mats))
-        pruned = prune_knocked_rows(kernels, grid.grids, contract)
-        for a, b in zip(kernels, pruned):
-            assert np.array_equal(a, b)
-        pa = forward_induction(kernels)
-        pb = forward_induction(pruned)
-        assert np.array_equal(pa, pb)
-
-    def test_identity_when_no_point_beyond_barrier(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        contract = uoc(1e6)
-        kernels = [np.full((3, 3), 0.5)]
-        out = prune_knocked_rows(kernels, [np.array([1.0, 2.0, 3.0])], contract)
-        assert np.array_equal(out[0], kernels[0])
 
 
 class TestPriceBarrier:
@@ -210,6 +145,16 @@ class TestPriceBarrier:
         """exp(-r T) overflows a float at r T = -800; the grid of another rate passes every other check."""
         with pytest.raises(ValueError, match=r"r=-800.0, T=1.0"):
             price_barrier(BlackScholes(-800.0, 0.07, 100.0), uoc(115.0), quant_grid(BS07, 10))
+
+    def test_end_to_end_rejects_the_discount_before_building_the_grid(self, monkeypatch):
+        """exp(720) overflows a float: ``price_barrier_quant`` raises before it builds a quantizer or a grid."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid was built for a discount that overflows")
+
+        monkeypatch.setattr(quant_pricer, "quantize_price_process", unreachable)
+        with pytest.raises(ValueError, match=r"r=-720.0, T=1.0"):
+            price_barrier_quant(BlackScholes(-720.0, 0.07, 100.0), uoc(115.0), 5, budget=60)
 
     def test_knocked_out_from_start_prices_zero(self, quant_grid):
         grid = quant_grid(BS07, 10)
@@ -237,19 +182,14 @@ class TestPriceBarrier:
             with pytest.raises(ValueError, match="grid starts at 100.0"):
                 price_barrier(spot_90, contract, grid)
 
-    def test_survival_mass_monotone_in_step(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        pi = np.zeros(966)
-        pi[0] = 1.0
-        masses = [1.0]
-        for H in _kernels(BS07, uoc(115.0), grid, mats):
-            pi = pi @ H
-            masses.append(pi.sum())
+    def test_survival_mass_monotone_in_step(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        masses = [1.0] + [pi.sum() for pi in chain_measures(BS07, uoc(115.0), grid)]
         assert all(a >= b - 1e-15 for a, b in zip(masses, masses[1:]))
 
-    def test_survival_measure_mass_is_probability(self, quant_pipeline):
-        grid, mats = quant_pipeline(BS07, 10)
-        pi = forward_induction(_kernels(BS07, uoc(115.0), grid, mats))
+    def test_survival_measure_mass_is_probability(self, quant_grid):
+        grid = quant_grid(BS07, 10)
+        *_, pi = chain_measures(BS07, uoc(115.0), grid)
         assert 0.0 < pi.sum() < 1.0
         assert np.all(pi >= 0.0)
 
@@ -315,19 +255,10 @@ SIDES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def small_pipeline():
-    """(grid, full matrices) on the budget-200 quantizer at n=8, per model."""
-    quantizer = brownian_product_quantizer(200, 1.0)
-    cache = {}
-
-    def build(model):
-        if model not in cache:
-            grid = quantize_price_process(model, quantizer, 8)
-            cache[model] = (grid, transition_matrices(model, grid))
-        return cache[model]
-
-    return build
+@functools.lru_cache(maxsize=None)
+def _small_grid(model):
+    """The grid of the budget-200 quantizer at n=8."""
+    return quantize_price_process(model, brownian_product_quantizer(200, 1.0), 8)
 
 
 def _barriers(grid, barrier_type):
@@ -339,11 +270,11 @@ def _barriers(grid, barrier_type):
 
 @pytest.mark.parametrize("barrier_type,payoff_type", SIDES)
 @pytest.mark.parametrize("model", [BS07, PCEV07], ids=["bs-exact", "pcev-euler"])
-def test_live_block_matches_full_matrix_chain(small_pipeline, model, barrier_type, payoff_type):
-    grid, mats = small_pipeline(model)
+def test_live_block_matches_full_matrix_chain(model, barrier_type, payoff_type):
+    grid = _small_grid(model)
     for L in _barriers(grid, barrier_type):
         contract = BarrierContract(barrier_type, payoff_type, 100.0, L, 1.0)
-        chain = _chain_price(model, contract, grid, mats)
+        chain = chain_price(model, contract, grid)
         live = price_barrier(model, contract, grid).price
         if chain == 0.0:
             assert live == 0.0, L
@@ -357,12 +288,12 @@ def test_live_block_matches_full_matrix_chain(small_pipeline, model, barrier_typ
     [(RUNAWAY_UP, BarrierType.UP_AND_OUT, 150.0), (RUNAWAY_DOWN, BarrierType.DOWN_AND_OUT, 70.0)],
     ids=["up", "down"],
 )
-def test_live_set_emptied_mid_horizon_prices_zero(small_pipeline, model, barrier_type, barrier, payoff_type):
-    grid, mats = small_pipeline(model)
+def test_live_set_emptied_mid_horizon_prices_zero(model, barrier_type, barrier, payoff_type):
+    grid = _small_grid(model)
     contract = BarrierContract(barrier_type, payoff_type, 100.0, barrier, 1.0)
     live = [_live_range(points, contract) for points in grid.grids]
     assert live[1][0] < live[1][1] and live[4] == (0, 0)
-    assert _chain_price(model, contract, grid, mats) == 0.0
+    assert chain_price(model, contract, grid) == 0.0
     assert price_barrier(model, contract, grid).price == 0.0
 
 
@@ -395,7 +326,7 @@ def test_banded_prices_match_full_matrix_chain_at_n80(model, barrier_type, barri
     """
     grid = _n80_grid(model)
     call = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
-    pi = _chain_measure(model, call, grid)  # the measure does not depend on the payoff
+    *_, pi = chain_measures(model, call, grid)  # the measure does not depend on the payoff
     for contract in (call, dataclasses.replace(call, payoff_type=PayoffType.PUT)):
         chain = np.exp(-model.r) * float(pi @ contract.payoff(grid.grids[-1]))
         banded = price_barrier(model, contract, grid).price
@@ -443,7 +374,7 @@ def test_vanishing_spread_keeps_the_mass_above_the_cut(monkeypatch, spread, law)
     for grid in (quantized, _grid_on_the_mean_path(model, quantized)):
         for barrier_type, barrier in ((BarrierType.UP_AND_OUT, 120.0), (BarrierType.DOWN_AND_OUT, 90.0)):
             contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
-            chain = _chain_price(model, contract, grid)
+            chain = chain_price(model, contract, grid)
             assert chain > 10.0
             assert price_barrier(model, contract, grid).price == pytest.approx(chain, rel=1e-13, abs=0.0)
     # a block evaluated twice in a row took the rest of the live cells

@@ -9,17 +9,14 @@ import pytest
 from fqbarrier.models import BlackScholes, one_step_law
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.price_grid import quantize_price_process
-from fqbarrier.quant_pricer import forward_induction
 from scipy.special import ndtr
 
 from fqbarrier.transitions import (
     _LOWER_CUT,
     _UPPER_CUT,
-    TransitionMatrix,
     dump_transitions,
     mass_cells,
     transition_block,
-    transition_matrices,
     transition_steps,
 )
 from tests.conftest import BS07, PCEV07, euler_law, full_matrix
@@ -88,9 +85,9 @@ class TestTransitionMatrix:
 
     def test_rows_renormalized_exactly(self, quant_pipeline):
         _, mats = quant_pipeline(BS07, 10)
-        for tm in mats:
-            assert np.max(np.abs(tm.entries.sum(axis=1) - 1.0)) < 1e-10
-            assert np.all(tm.entries >= 0.0)
+        for p in mats:
+            assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-10
+            assert np.all(p >= 0.0)
 
     def test_prenormalization_deficit_small_in_exact_mode(self, quant_grid):
         grid = quant_grid(BS07, 10)
@@ -104,17 +101,17 @@ class TestTransitionMatrix:
 
     def test_rows_stochastically_ordered_in_exact_mode(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
-        cdf = np.cumsum(mats[5].entries, axis=1)
+        cdf = np.cumsum(mats[5], axis=1)
         # larger starting point pushes mass to higher cells at every cut
         assert np.all(cdf[1:, :] <= cdf[:-1, :] + 1e-12)
 
     def test_euler_mode_default_for_pcev(self, quant_pipeline):
         grid, mats = quant_pipeline(PCEV07, 10)
-        assert np.max(np.abs(mats[0].entries.sum(axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(mats[0].sum(axis=1) - 1.0)) < 1e-10
         gp, gn = grid.grids[4], grid.grids[5]
         default = full_matrix(PCEV07, gp, gn, 0.1)
         assert np.array_equal(default, transition_block(euler_law(PCEV07, gp, 0.1), gn, 0, gn.size))
-        assert np.array_equal(default, mats[4].entries)
+        assert np.array_equal(default, mats[4])
 
     def test_rectangular_grids_supported(self):
         p = full_matrix(BS07, [100.0, 101.0], [90.0, 100.0, 110.0], 0.1)
@@ -135,7 +132,7 @@ class TestTransitionBlock:
         law = one_step_law(model, gp, 0.1)
         for lo, hi in ((0, d), (0, 1), (0, 400), (300, d), (d - 1, d), (200, 700), (0, 0), (d, d)):
             block = transition_block(one_step_law(model, gp[10:20], 0.1), gn, lo, hi)
-            assert np.array_equal(block, mats[4].entries[10:20, lo:hi]), (lo, hi)
+            assert np.array_equal(block, mats[4][10:20, lo:hi]), (lo, hi)
             assert np.array_equal(transition_block(law, gn, lo, hi, slice(10, 20)), block), (lo, hi)
 
     def test_single_source_point_is_one_row(self):
@@ -192,28 +189,24 @@ class TestMassCells:
 
 def _marginals(mats, x0_cell=0):
     """Weight vector at every date of the chain started in ``x0_cell``: e0 P1 ... Pk."""
-    w = np.zeros(mats[0].entries.shape[0])
+    w = np.zeros(mats[0].shape[0])
     w[x0_cell] = 1.0
     out = [w]
-    for tm in mats:
-        out.append(out[-1] @ tm.entries)
+    for p in mats:
+        out.append(out[-1] @ p)
     return out
 
 
 class TestChainMarginals:
     def test_single_step_frozen(self):
         grids = [np.array([100.0, 100.0]), np.array([90.0, 110.0])]
-        mats = [TransitionMatrix(1, full_matrix(BS07, grids[0], grids[1], 0.1))]
-        w = _marginals(mats)
+        w = _marginals([full_matrix(BS07, grids[0], grids[1], 0.1)])
         assert w[0].tolist() == [1.0, 0.0]
         assert w[1] == pytest.approx(EXACT_ROW, abs=1e-9)
-        assert forward_induction(tm.entries for tm in mats).tolist() == w[1].tolist()
 
     def test_identity_matrices_keep_mass_fixed(self):
-        mats = [TransitionMatrix(k, np.eye(2)) for k in (1, 2, 3)]
-        for wk in _marginals(mats, x0_cell=1):
+        for wk in _marginals([np.eye(2)] * 3, x0_cell=1):
             assert wk.tolist() == [0.0, 1.0]
-        assert forward_induction(tm.entries for tm in mats).tolist() == [1.0, 0.0]
 
     def test_marginal_masses_are_probabilities(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
@@ -222,15 +215,9 @@ class TestChainMarginals:
 
     def test_pushforward_mean_tracks_forward_price(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
-        w = forward_induction(tm.entries for tm in mats)
-        mean = float(w @ grid.grids[-1])
+        mean = float(_marginals(mats)[-1] @ grid.grids[-1])
         forward = 100.0 * math.exp(0.15)
         assert abs(mean - forward) / forward < 0.02
-
-    def test_dimension_mismatch(self):
-        mats = [TransitionMatrix(1, np.eye(2)), TransitionMatrix(2, np.eye(3))]
-        with pytest.raises(ValueError):
-            forward_induction(tm.entries for tm in mats)
 
 
 class TestDump:
@@ -249,9 +236,10 @@ class TestDump:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["k", "i", "j", "p"])
-        for tm in transition_matrices(BS07, grid):
-            for i, row in enumerate(tm.entries):
-                writer.writerows([tm.step, i, j, f"{v:.17g}"] for j, v in enumerate(row))
+        for k in range(1, grid.n_steps + 1):
+            p = full_matrix(BS07, grid.grids[k - 1], grid.grids[k], grid.horizon / grid.n_steps)
+            for i, row in enumerate(p):
+                writer.writerows([k, i, j, f"{v:.17g}"] for j, v in enumerate(row))
         assert out.read_bytes() == expected.getvalue().encode()
 
     def test_streamed_dump_memory_does_not_grow_with_steps(self, tmp_path):
