@@ -14,7 +14,7 @@ from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV, one_step_law
-from fqbarrier.price_grid import quantize_price_process
+from fqbarrier.price_grid import QuantizedPriceGrid, quantize_price_process
 from fqbarrier.quant_pricer import (
     _BAND_ROWS,
     _live_cells,
@@ -116,6 +116,32 @@ class TestSurvival:
         # the case exercises a skipped entry and one just inside -37.43 that is not p
         assert np.any((H == p) & (expected == p)) and np.any((H != p) & (H != 0.0))
 
+    @pytest.mark.parametrize("barrier_type", [BarrierType.UP_AND_OUT, BarrierType.DOWN_AND_OUT], ids=["up", "down"])
+    def test_sub_block_matches_the_bridge_cdfs_bit_for_bit(self, barrier_type):
+        """``damp`` on rows 2:5 and columns 3:11 of the live points damps exactly those entries.
+
+        At n = 400 the exponents of the sub-block run from about -0.2 to -56
+        or lower, so its band edge falls inside the columns and some entries
+        keep p.
+        """
+        L, side = 100.0, (-1.0 if barrier_type is BarrierType.UP_AND_OUT else 1.0)
+        x = np.sort(L + side * np.linspace(0.05, 3.0, 8))
+        y = np.sort(L + side * np.geomspace(1e-3, 20.0, 14))
+        rows, cols = slice(2, 5), slice(3, 11)
+        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, L, 1.0)
+        sigma = np.asarray(BS07.diffusion(x), dtype=float)
+        p = np.random.default_rng(11).uniform(0.01, 1.0, size=(3, 8))
+        params = BridgeParams(400, 1.0, sigma[rows, None])
+        xs, ys = x[rows, None], y[None, cols]
+        if barrier_type is BarrierType.UP_AND_OUT:
+            expected = p * bridge_max_cdf(xs, ys, L, params)
+        else:
+            expected = p * (1 - bridge_min_cdf(xs, ys, L, params))
+        H = p.copy()
+        _Survival(x, y, sigma, contract, 400, 1.0).damp(H, rows, cols, spare=np.empty(H.size))
+        assert np.array_equal(H, expected)
+        assert np.any(H == p) and np.any(H != p)
+
 
 class TestChainOracle:
     def test_reduces_to_chain_marginal_without_barrier(self, quant_pipeline):
@@ -127,6 +153,36 @@ class TestChainOracle:
             w = w @ p
         assert pi == pytest.approx(w, abs=1e-14)
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("contract", [uoc(105.0, 90.0), doc(95.0, 90.0)], ids=["up", "down"])
+    def test_single_step_frozen(self, contract):
+        """One step from x0 = 100 into the single cell 100, 5 away from the barrier at sigma x0 = 7.
+
+        The cell takes all of the mass, and the survival factor is
+        1 - exp(-2 * 5 * 5 / 49) at n = T = 1.
+        """
+        grid = QuantizedPriceGrid(
+            1, 1.0, np.array([0.0, 1.0]), np.array([[100.0], [100.0]]), np.ones(1), np.zeros((2, 1), dtype=int)
+        )
+        *_, pi = chain_measures(BS07, contract, grid)
+        assert pi[0] == pytest.approx(-math.expm1(-50.0 / 49.0), rel=1e-15)
+        expected = math.exp(-0.15) * 10.0 * -math.expm1(-50.0 / 49.0)
+        assert chain_price(BS07, contract, grid) == pytest.approx(expected, rel=1e-15)
+        assert price_barrier(BS07, contract, grid).price == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("contract", [uoc(115.0), doc(95.0)], ids=["up", "down"])
+    @pytest.mark.parametrize("model", [BS07, PCEV07], ids=["bs-exact", "pcev-euler"])
+    def test_banded_measure_matches_the_chain_on_the_live_cells(self, model, contract):
+        """The chain's terminal measure is exactly 0 beyond the barrier, and the pricer's equals it on the live cells."""
+        grid = _small_grid(model)
+        lo, hi = _live_cells(grid.grids[-1], contract)
+        assert 0 < lo or hi < grid.d_n  # some terminal cell lies beyond the barrier
+        *_, chain = chain_measures(model, contract, grid)
+        banded, points = _survival_measure(model, contract, grid)
+        assert np.array_equal(points, grid.grids[-1][lo:hi])
+        assert np.all(chain[:lo] == 0.0) and np.all(chain[hi:] == 0.0)
+        assert np.max(np.abs(banded - chain[lo:hi])) <= 1e-15
+        assert banded.sum() == pytest.approx(chain.sum(), rel=1e-13)
 
 
 class TestPriceBarrier:
@@ -140,6 +196,14 @@ class TestPriceBarrier:
         assert first.hex() == again.hex()
         assert put.hex() == price_barrier(BS07, dop, grid).price.hex()
         assert first > 0.0 and put > 0.0
+
+    def test_leaves_the_grid_unchanged(self, quant_grid):
+        """The pricer damps its own work arrays in place, never the grid's levels."""
+        grid = quant_grid(BS07, 10)
+        before = grid.grids.copy()
+        for contract in (uoc(115.0), doc(95.0)):
+            price_barrier(BS07, contract, grid)
+            assert np.array_equal(grid.grids, before)
 
     def test_discount_overflow_is_rejected(self, quant_grid):
         """exp(-r T) overflows a float at r T = -800; the grid of another rate passes every other check."""
