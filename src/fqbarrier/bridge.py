@@ -8,9 +8,11 @@ the classical closed form
     G_{x,y}(u) = (1 - exp(-2 n (x-u)(y-u) / (T sigma(x)^2))) 1{u >= max(x,y)}
     F_{x,y}(u) = 1 - (1 - exp(-2 n (x-u)(y-u) / (T sigma(x)^2))) 1{u <= min(x,y)}
 
-with n subintervals over a horizon T.  Both distributions invert in closed
-form: ``bridge_extremum`` is that inverse, and the indicator estimator of
-the Monte Carlo pricer draws every interval's extremum through it.  All
+with n subintervals over a horizon T.  Both pricers take the factor in
+parentheses, the probability that the bridge does not cross u, from
+``no_crossing``.  Both distributions invert in closed form:
+``bridge_extremum`` is that inverse, and the indicator estimator of the
+Monte Carlo pricer draws every interval's extremum through it.  All
 functions broadcast over x, y, u and over ``sigma_x``.
 """
 
@@ -49,52 +51,37 @@ class BridgeParams:
             raise ValueError("sigma_x must be nonnegative")
 
 
-def no_crossing(x, y, u, p: BridgeParams, out=None):
-    """1 - exp(min(e, 0)) with e = -2 n (x-u)(y-u) / (T sigma(x)^2).
+def no_crossing(x, y, u, p: BridgeParams, up: bool, out=None):
+    """P(the bridge from x to y stays below u if ``up``, above it if not): 1 - exp(min(e, 0)).
 
-    This is the probability that the bridge from x to y stays on the side
-    of u where both of its ends lie; that they do is not checked.  It is the
-    one evaluation of the formula: both CDFs and the pricer's kernel call it.
-    ``out``, of the broadcast shape, receives the result and every
-    intermediate of that shape.
+    e = -2 n (x-u)(y-u) / (T sigma(x)^2).  x lies on that side of u or on
+    it; where y lies beyond u the factor is 0.  A sigma(x) = 0 bridge is the
+    segment from x to y: it survives where u >= max(x, y) if ``up`` and
+    where u < min(x, y) if not, so a segment that touches the barrier
+    survives up-and-out but not down-and-out.  1 - F_{x,y}(u) is this
+    factor bit for bit: for b = fl(1 - exp(e)), 1 - (1 - b) == b by
+    Sterbenz's lemma.  ``out``, of the broadcast shape, receives the result
+    and every intermediate of that shape.
     """
-    sig2 = np.asarray(p.sigma_x, dtype=float) ** 2
+    sigma = np.asarray(p.sigma_x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ex = np.multiply(-2.0 * p.n_steps * (x - u), np.subtract(y, u), out=out)
-        ex = np.divide(ex, p.horizon * sig2, out=out)
-        return np.subtract(1.0, np.exp(np.minimum(ex, 0.0, out=out), out=out), out=out)
+        ex = np.divide(ex, p.horizon * sigma**2, out=out)
+        survival = np.asarray(np.subtract(1.0, np.exp(np.minimum(ex, 0.0, out=out), out=out), out=out))
+    frozen = sigma == 0.0
+    if frozen.any():  # e is -inf, +inf or 0/0 there
+        np.copyto(survival, u >= np.maximum(x, y) if up else u < np.minimum(x, y), where=frozen)
+    return survival
 
 
 def bridge_max_cdf(x, y, u, p: BridgeParams):
     """P(max of the bridge <= u | endpoints x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    top = np.maximum(x, y)
-    degenerate = np.asarray(p.sigma_x) == 0.0
-    if np.all(degenerate):
-        return (u >= top).astype(float)
-    body = no_crossing(x, y, u, p)
-    out = np.where(u >= top, body, 0.0)
-    if np.any(degenerate):
-        out = np.where(degenerate, (u >= top).astype(float), out)
-    return out
+    return np.where(u >= np.maximum(x, y), no_crossing(x, y, u, p, True), 0.0)
 
 
 def bridge_min_cdf(x, y, u, p: BridgeParams):
     """P(min of the bridge <= u | endpoints x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    bot = np.minimum(x, y)
-    degenerate = np.asarray(p.sigma_x) == 0.0
-    if np.all(degenerate):
-        return (u >= bot).astype(float)
-    body = no_crossing(x, y, u, p)
-    out = 1.0 - np.where(u <= bot, body, 0.0)
-    if np.any(degenerate):
-        out = np.where(degenerate, (u >= bot).astype(float), out)
-    return out
+    return 1.0 - np.where(u <= np.minimum(x, y), no_crossing(x, y, u, p, False), 0.0)
 
 
 def bridge_extremum(x, y, log_v, p: BridgeParams, up: bool):

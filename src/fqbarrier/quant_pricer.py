@@ -55,10 +55,8 @@ import time
 
 import numpy as np
 
-from . import bridge
 from ._pool import _cores, _worker
 from .bridge import BridgeParams, no_crossing
-from .bridge import bridge_max_cdf, bridge_min_cdf  # noqa: F401  the benchmark tracer wraps these attributes
 from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult, check_discount
 from .models import Model, one_step_law
@@ -68,7 +66,7 @@ from .transitions import mass_cells, transition_block
 __all__ = ["price_barrier", "price_barrier_quant"]
 
 # perfbench/tracing.py still looks these names up to wrap them; delete this line when it drops those wraps
-quantized_kernel = forward_induction = prune_knocked_rows = transition_matrices = None
+quantized_kernel = forward_induction = prune_knocked_rows = transition_matrices = bridge_max_cdf = bridge_min_cdf = None
 
 
 # 1 - exp(e) rounds to exactly 1.0 once exp(e) <= 2**-54, that is for
@@ -94,18 +92,18 @@ class _Survival:
         self.x, self.y, self.sigma, self.L = x, y, sigma, L
         self.up = contract.barrier_type is BarrierType.UP_AND_OUT
         self.n_steps, self.horizon = n_steps, horizon
-        self.degenerate = sigma == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # the factor of row i is exactly 1.0 where |y_j - L| >= reach_i
             reach = -_EXACT_ONE / np.abs(2.0 * n_steps * (x - L) / (horizon * sigma**2))
-        reach[self.degenerate] = np.inf  # sigma = 0 rows keep the CDFs' degenerate values over the whole row
+        reach[sigma == 0.0] = np.inf  # a down-and-out segment dies on the barrier: take the whole row
         self.edge = np.searchsorted(y - L, -reach, "right") if self.up else np.searchsorted(y - L, reach, "left")
 
     def damp(self, block: np.ndarray, rows: slice, cols: slice, spare: np.ndarray) -> None:
         """Multiply ``block``, the entries of rows ``rows`` and columns ``cols``, by the factor in place.
 
-        ``spare``, a flat array of at least ``block.size`` entries, holds the
-        factors.
+        The factor is ``bridge.no_crossing`` on the columns from the row
+        block's edge to the barrier; ``spare``, a flat array of at least
+        ``block.size`` entries, holds it.
         """
         edge = self.edge[rows]
         if self.up:
@@ -114,22 +112,10 @@ class _Survival:
             a, z = cols.start, min(int(edge.max()), cols.stop)
         if a >= z:
             return
-        xs, ys, sigma = self.x[rows, None], self.y[a:z], self.sigma[rows, None]
+        xs, ys = self.x[rows, None], self.y[a:z]
         out = spare[: xs.size * ys.size].reshape(xs.size, ys.size)
-        # bridge_max_cdf on live points, and 1 - bridge_min_cdf too: for
-        # b = fl(1 - exp(e)), 1 - (1 - b) == b by Sterbenz's lemma
-        survival = no_crossing(xs, ys, self.L, BridgeParams(self.n_steps, self.horizon, sigma), out=out)
-        still = self.degenerate[rows]
-        if still.any():
-            # the benchmark tracer wraps quant_pricer's attributes of these
-            # names; calling them through the bridge module keeps the pool
-            # worker, which may run damp, out of the tracer's wrappers
-            zero = BridgeParams(self.n_steps, self.horizon, 0.0)
-            survival[still] = (
-                bridge.bridge_max_cdf(xs[still], ys, self.L, zero)
-                if self.up
-                else 1.0 - bridge.bridge_min_cdf(xs[still], ys, self.L, zero)
-            )
+        params = BridgeParams(self.n_steps, self.horizon, self.sigma[rows, None])
+        survival = no_crossing(xs, ys, self.L, params, self.up, out=out)
         band = block[:, a - cols.start : z - cols.start]
         np.multiply(band, survival, out=band)
 

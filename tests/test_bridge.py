@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from fqbarrier.bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf
+from fqbarrier.bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf, no_crossing
 
 P_BASE = BridgeParams(n_steps=10, horizon=1.0, sigma_x=7.0)
 
@@ -54,6 +54,69 @@ class TestMinCdf:
         u = np.linspace(70.0, 105.0, 500)
         vals = bridge_min_cdf(100.0, 104.0, u, P_BASE)
         assert np.all(np.diff(vals) >= -1e-15)
+
+    def test_degenerate_sigma(self):
+        p0 = BridgeParams(10, 1.0, 0.0)
+        assert bridge_min_cdf(100.0, 104.0, 99.0, p0) == 0.0
+        assert bridge_min_cdf(100.0, 104.0, 100.0, p0) == 1.0  # a segment that touches u has reached it
+        assert bridge_min_cdf(104.0, 100.0, 100.0, p0) == 1.0
+        assert bridge_min_cdf(100.0, 104.0, 101.0, p0) == 1.0
+
+
+# sigma(x) = 0 segments (x, y) and their factor by hand: u = 104 up-and-out, u = 100 down-and-out
+FROZEN = {
+    True: [((100.0, 103.0), 1.0), ((100.0, 104.0), 1.0), ((104.0, 100.0), 1.0), ((104.0, 104.0), 1.0),
+           ((100.0, 105.0), 0.0)],
+    False: [((101.0, 103.0), 1.0), ((100.0, 103.0), 0.0), ((103.0, 100.0), 0.0), ((100.0, 100.0), 0.0),
+            ((103.0, 99.0), 0.0)],
+}
+
+
+class TestNoCrossing:
+    """The survival factor on both sides of the barrier, by hand."""
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_frozen_value(self, up):
+        # e = -2 * 10 * 5 * 5 / 49 on either side
+        got = no_crossing(100.0, 100.0, 105.0 if up else 95.0, P_BASE, up)
+        assert got == pytest.approx(-math.expm1(-500.0 / 49.0), abs=1e-14)
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_zero_beyond_the_barrier_and_from_it(self, up):
+        s = 1.0 if up else -1.0
+        assert no_crossing(100.0, 100.0 + 6.0 * s, 100.0 + 5.0 * s, P_BASE, up) == 0.0
+        assert no_crossing(100.0, 100.0 + 1e-9 * s, 100.0, P_BASE, up) == 0.0
+        assert no_crossing(100.0, 100.0 - 3.0 * s, 100.0, P_BASE, up) == 0.0  # x on the barrier
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_zero_sigma_segment_rule(self, up):
+        """A frozen segment survives where u >= max(x, y) up-and-out, where u < min(x, y) down-and-out.
+
+        So touching the barrier survives up-and-out but not down-and-out.
+        """
+        u = 104.0 if up else 100.0
+        ends, want = zip(*FROZEN[up])
+        x, y = np.array(ends).T
+        p0 = BridgeParams(10, 1.0, 0.0)
+        assert no_crossing(x, y, u, p0, up).tolist() == list(want)
+        for (a, b), f in FROZEN[up]:
+            assert no_crossing(a, b, u, p0, up) == f
+        # the CDFs on those segments
+        cdf = bridge_max_cdf(x, y, u, p0) if up else 1.0 - bridge_min_cdf(x, y, u, p0)
+        assert cdf.tolist() == list(want)
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_zero_sigma_rows_among_others_write_into_out(self, up):
+        u = 104.0 if up else 100.0
+        x = np.array([[100.0 if up else 104.0], [u], [100.0 if up else 104.0]])
+        y = np.array([u, 102.0])
+        sigma = np.array([[0.0], [0.0], [7.0]])
+        out = np.full((3, 2), np.nan)
+        got = no_crossing(x, y, u, BridgeParams(10, 1.0, sigma), up, out=out)
+        assert got is out
+        touch = 1.0 if up else 0.0
+        assert out[:2].tolist() == [[touch, 1.0], [touch, touch]]
+        assert out[2].tolist() == [0.0, no_crossing(x[2, 0], 102.0, u, P_BASE, up)]
 
 
 class TestInverses:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fqbarrier import mc_pricer, quant_pricer
+from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.closed_form import barrier_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.mc_pricer import (
@@ -23,7 +24,7 @@ from fqbarrier.mc_pricer import (
     rbb_price,
     rbb_price_levels,
 )
-from fqbarrier.models import PseudoCEV
+from fqbarrier.models import BlackScholes, PseudoCEV
 from fqbarrier.tables import run_table
 from tests.conftest import BS07, PCEV07
 
@@ -209,6 +210,40 @@ class TestVarianceReduction:
         assert var_ind == 0.0 and var_cond == 0.0
 
 
+FLAT = BlackScholes(r=0.15, sigma=0.0, x0=100.0)
+
+
+class TestConditionalProduct:
+    """Each level's price is the mean of the discounted payoff times the bridge CDFs' product on the same draws."""
+
+    @pytest.mark.parametrize("model", [BS07, FLAT, PCEV07], ids=["bs", "bs-sigma0", "pcev"])
+    @pytest.mark.parametrize("barrier_type", list(BarrierType), ids=["up", "down"])
+    def test_matches_a_product_of_the_cdfs_on_the_same_draws(self, monkeypatch, model, barrier_type):
+        monkeypatch.setattr(mc_pricer, "_LEVEL_CHUNK", 4)  # the levels take four chunks, the last one short
+        n, n_paths, seed = 6, 3000, 19
+        paths = euler_path(model, n, 1.0, draws(seed, 0, n_paths, n)[0])
+        # below x0, on it and above it; the sigma = 0 path's Euler points too
+        levels = np.array([80.0, 95.0, 99.5, 100.0, 100.5, 105.0, 120.0, 130.0] + paths[0, 1:].tolist())
+        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, 120.0, 1.0)
+        product = np.ones((n_paths, levels.size))
+        for k in range(n):
+            x, y = paths[:, k, None], paths[:, k + 1, None]
+            params = BridgeParams(n, 1.0, np.abs(model.diffusion(x)))
+            if barrier_type is BarrierType.UP_AND_OUT:
+                product *= bridge_max_cdf(x, y, levels, params)
+            else:
+                product *= 1.0 - bridge_min_cdf(x, y, levels, params)
+        pay = math.exp(-model.r) * contract.payoff(paths[:, -1])
+        expected = (pay[:, None] * product).mean(axis=0)
+        cfg = McConfig(n, n_paths, seed, Estimator.CONDITIONAL_PRODUCT)
+        got = np.array([r.price for r in rbb_price_levels(model, contract, levels, cfg)])
+        assert np.array_equal(got == 0.0, expected == 0.0)
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+        assert (expected > 0.0).sum() >= 3
+        for i in (0, 5, 9, levels.size - 1):  # each level's sum is taken in the same order alone
+            assert got[i] == rbb_price_levels(model, contract, levels[i], cfg)[0].price
+
+
 LEVELS = {BarrierType.UP_AND_OUT: (105.0, 112.0, 120.0, 130.0), BarrierType.DOWN_AND_OUT: (85.0, 92.0, 97.0)}
 
 
@@ -354,6 +389,29 @@ def test_forked_child_prices_after_the_parent_used_the_pool(monkeypatch):
             child.kill()
             child.join(10)
     assert child.exitcode == 0
+
+
+def test_indicator_reduction_memory_flat_in_levels(monkeypatch):
+    """The levels are reduced a chunk at a time, so 1000 of them hold no paths-by-levels array.
+
+    One such array of 4096 paths and 1000 levels takes 32.8 MB.
+    """
+    monkeypatch.setattr(mc_pricer, "_cores", lambda: 2)
+    monkeypatch.setattr(mc_pricer, "_SPLIT_ROWS", 1)
+    rbb_price(BS07, uoc(120.0), McConfig(1, 2, 5))  # the worker thread exists before the measurement
+    levels = np.linspace(101.0, 150.0, 1000)
+    cfg = McConfig(5, 4096, 5)
+    tracemalloc.start()
+    try:
+        results = rbb_price_levels(BS07, uoc(120.0), levels, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    # each level's sum is taken in the same order alone and in any chunk
+    for i in (0, 63, 64, 500, 999):
+        assert results[i].price == rbb_price_levels(BS07, uoc(120.0), levels[i], cfg)[0].price
+    assert results[-1].price > 0.0
 
 
 def test_draw_memory_flat_in_steps(monkeypatch):

@@ -117,6 +117,24 @@ class TestSurvival:
         assert np.any((H == p) & (expected == p)) and np.any((H != p) & (H != 0.0))
 
     @pytest.mark.parametrize("barrier_type", [BarrierType.UP_AND_OUT, BarrierType.DOWN_AND_OUT], ids=["up", "down"])
+    def test_zero_sigma_rows_take_the_whole_row(self, barrier_type):
+        """A block of sigma = 0 rows, none on the barrier, still reaches the cell on the barrier.
+
+        A frozen segment that touches the barrier survives up-and-out and
+        dies down-and-out; every other live cell keeps its entry.
+        """
+        up = barrier_type is BarrierType.UP_AND_OUT
+        side = -1.0 if up else 1.0
+        x = np.sort(100.0 + side * np.array([0.5, 1.0, 3.0]))
+        y = np.sort(100.0 + side * np.array([0.0, 0.5, 2.0, 7.0]))
+        contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, 100.0, 1.0)
+        H = np.ones((3, 4))
+        _Survival(x, y, np.zeros(3), contract, 1, 1.0).damp(H, slice(0, 3), slice(0, 4), spare=np.empty(12))
+        on_barrier = y == 100.0
+        assert np.all(H[:, ~on_barrier] == 1.0)
+        assert np.all(H[:, on_barrier] == (1.0 if up else 0.0))
+
+    @pytest.mark.parametrize("barrier_type", [BarrierType.UP_AND_OUT, BarrierType.DOWN_AND_OUT], ids=["up", "down"])
     def test_sub_block_matches_the_bridge_cdfs_bit_for_bit(self, barrier_type):
         """``damp`` on rows 2:5 and columns 3:11 of the live points damps exactly those entries.
 
