@@ -32,7 +32,7 @@ from .gaussian import optimal_normal_quantizer, save_quantizer
 from .mc_pricer import Estimator, McConfig, rbb_price
 from .models import BlackScholes, Model, PseudoCEV
 from .price_grid import dump_grids, quantize_price_process
-from .quant_pricer import price_barrier
+from .quant_pricer import price_barrier, price_barrier_quant
 from .tables import DEFAULT_SEED, run_table, write_table_csv
 from .transitions import dump_transitions, transition_steps
 
@@ -155,6 +155,8 @@ def run_config(config: dict) -> PricingResult:
 
     if method == "quant":
         budget, steps = _int_param(params, "budget", 1000), _int_param(params, "steps", 20)
+        if not (params.get("dump_grids") or params.get("dump_transitions")):
+            return price_barrier_quant(model, contract, steps, budget)  # priced as the grid ODE yields its dates
         start = time.perf_counter()
         quantizer = brownian_product_quantizer(budget, contract.maturity)
         grid = quantize_price_process(model, quantizer, steps)

@@ -5,7 +5,11 @@ Each Brownian quantizer path alpha_m drives a companion ODE
     dx/dt = b(x) - 1/2 sigma(x) sigma'(x) + sigma(x) alpha_m'(t),  x(0) = x0,
 
 whose solution sampled at the pricing dates t_k = k T / n gives a grid of
-price levels per date.  The ODE is integrated in y = log x,
+price levels per date.  ``price_dates`` yields each date's values, by
+path, as soon as the integration reaches it, so a caller that prices
+date by date holds two dates at a time; ``quantize_price_process``
+collects them into one grid for callers that reuse it.  The ODE is
+integrated in y = log x,
 
     dy/dt = f_m(t, y) = a(y) + v(y) alpha_m'(t),  a = (b - sigma sigma'/2) / x,  v = sigma / x,
 
@@ -45,6 +49,7 @@ The tests hold grids to 1e-5.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +57,7 @@ import numpy as np
 from .brownian import BrownianProductQuantizer
 from .models import Model
 
-__all__ = ["QuantizedPriceGrid", "quantize_price_process", "dump_grids", "RK6_A", "RK6_B", "RK6_C"]
+__all__ = ["QuantizedPriceGrid", "quantize_price_process", "price_dates", "dump_grids", "RK6_A", "RK6_B", "RK6_C"]
 
 # Butcher's explicit 7-stage 6th-order tableau
 RK6_A = np.zeros((7, 7))
@@ -76,24 +81,25 @@ _ETA = 1e-6  # step in y of the stiffness estimate's one-sided difference
 
 @dataclass(frozen=True)
 class QuantizedPriceGrid:
-    """Price levels per pricing date, ascending, with the driving-path weights.
+    """Price levels of every driving path at every pricing date, with the path weights.
 
-    ``grids[k]`` holds the d_N sorted levels at date t_k (the k = 0 grid is
-    d_N copies of x0).  ``permutations[k][m]`` is the rank of driving path m
-    in ``grids[k]``, so ``grids[k][permutations[k][m]]`` recovers the value
-    of path m.  ``path_weights`` are indexed by path, not rank.
+    ``values[k][m]`` is the value of driving path m at date t_k (the k = 0
+    row is d_N copies of x0), in path order: the pricer and the dumps sort
+    each date as they read it.  ``path_weights`` are indexed by path.  A
+    grid serves callers that price several contracts on one model or dump
+    it; ``price_barrier_quant`` reads ``price_dates`` instead and holds
+    two dates at a time.
     """
 
     n_steps: int
     horizon: float
     dates: np.ndarray  # (n+1,)
-    grids: np.ndarray  # (n+1, d_N) ascending rows
+    values: np.ndarray  # (n+1, d_N) by path
     path_weights: np.ndarray  # (d_N,)
-    permutations: np.ndarray  # (n+1, d_N) path index -> rank
 
     @property
     def d_n(self) -> int:
-        return self.grids.shape[1]
+        return self.values.shape[1]
 
 
 def quantize_price_process(
@@ -102,7 +108,27 @@ def quantize_price_process(
     n_steps: int,
     substeps: int = 4,
 ) -> QuantizedPriceGrid:
-    """Integrate the companion ODE along every quantizer path.
+    """Every date of ``price_dates`` in one grid; the parameters and errors are those of ``price_dates``."""
+    stream = price_dates(model, quantizer, n_steps, substeps)
+    values = np.empty((n_steps + 1, quantizer.n_paths))
+    for k, x in enumerate(stream):
+        values[k] = x
+    dates = np.arange(n_steps + 1) * (quantizer.horizon / n_steps)
+    for arr in (dates, values):
+        arr.setflags(write=False)
+    return QuantizedPriceGrid(n_steps, quantizer.horizon, dates, values, quantizer.weights)
+
+
+def price_dates(
+    model: Model,
+    quantizer: BrownianProductQuantizer,
+    n_steps: int,
+    substeps: int = 4,
+) -> Iterator[np.ndarray]:
+    """Integrate the companion ODE along every quantizer path, yielding each date's values as it is reached.
+
+    The values at t_k = k T / n come by path, a new array per date, for
+    k = 0..n: x0 at k = 0, then each as its interval is integrated.
 
     Parameters
     ----------
@@ -111,7 +137,7 @@ def quantize_price_process(
     quantizer : BrownianProductQuantizer
         Driving path family; its horizon is the option maturity.
     n_steps : int
-        Number of pricing intervals; grids are recorded at k T / n.
+        Number of pricing intervals.
     substeps : int
         Runge-Kutta steps per pricing interval where the field allows,
         setting the longest substep h_max = dt / substeps.  A substep whose
@@ -120,31 +146,27 @@ def quantize_price_process(
 
     Raises
     ------
+    ValueError
+        At the call, if ``n_steps`` or ``substeps`` is below 1.
     FloatingPointError
-        If a substep would have to be shorter than ``_MAX_SUBSTEPS`` allows,
-        or a path's price turns non-finite, naming the offending path and time.
+        When the stream reaches it, if a substep would have to be shorter
+        than ``_MAX_SUBSTEPS`` allows, or a path's price turns non-finite,
+        naming the offending path and time.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    return _integrate(model, quantizer, n_steps, substeps)
 
+
+def _integrate(model: Model, quantizer: BrownianProductQuantizer, n_steps: int, substeps: int):
     T = quantizer.horizon
     d_n = quantizer.n_paths
     dt = T / n_steps
 
     y = np.full(d_n, math.log(model.x0))
-    grids = np.empty((n_steps + 1, d_n))
-    perms = np.empty((n_steps + 1, d_n), dtype=np.intp)
-
-    def record(k: int, values: np.ndarray) -> None:
-        order = np.argsort(values, kind="stable")
-        grids[k] = values[order]
-        ranks = np.empty(d_n, dtype=np.intp)
-        ranks[order] = np.arange(d_n)
-        perms[k] = ranks
-
-    record(0, np.full(d_n, float(model.x0)))
+    yield np.full(d_n, float(model.x0))
     stages = np.empty((7, d_n))
     # an interval is ``end`` = substeps 2^J units, 2^J = ``top`` as large as the cap allows; ``top`` units
     # are h_max = dt / substeps exactly, so substeps of h_max start at k dt + s h_max, as fixed steps do
@@ -189,18 +211,14 @@ def quantize_price_process(
             raise FloatingPointError(
                 f"path {m} became non-finite at t={(k + 1) * dt:.6g} during grid integration"
             )
-        record(k + 1, x)
-
-    dates = np.arange(n_steps + 1) * dt
-    for arr in (dates, grids, perms):
-        arr.setflags(write=False)
-    return QuantizedPriceGrid(n_steps, T, dates, grids, quantizer.weights, perms)
+        yield x
 
 
 def dump_grids(grid: QuantizedPriceGrid, path) -> None:
-    """CSV dump with columns (k, t_k, rank, price, weight): one ``\\r\\n``-ended line per grid point."""
-    inverse = np.argsort(grid.permutations, axis=1)  # rank -> path index
-    k, rank = np.divmod(np.arange(grid.grids.size), grid.d_n)
-    table = np.column_stack([k, grid.dates[k], rank, grid.grids.ravel(), grid.path_weights[inverse].ravel()])
+    """CSV dump with columns (k, t_k, rank, price, weight): one ``\\r\\n``-ended line per grid point, by rank."""
+    order = np.argsort(grid.values, axis=1, kind="stable")  # rank -> path index
+    k, rank = np.divmod(np.arange(grid.values.size), grid.d_n)
+    prices = np.take_along_axis(grid.values, order, axis=1)
+    table = np.column_stack([k, grid.dates[k], rank, prices.ravel(), grid.path_weights[order].ravel()])
     np.savetxt(path, table, fmt=["%d", "%.17g", "%d", "%.17g", "%.17g"], delimiter=",", newline="\r\n",
                header="k,t_k,rank,price,weight", comments="")

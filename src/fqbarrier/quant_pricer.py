@@ -12,9 +12,12 @@ initial point mass through the kernels yields a sub-probability measure on
 the terminal grid whose total mass is the survival probability; discounting
 the expected payoff under it prices the option.
 
-A survival factor is exactly 0 when either end of the interval lies
-beyond the barrier, so step k prices only from the live points of date
-k-1 into the live cells of date k, from the single point x0 at step 1.
+The step loop reads the dates one at a time, from the grid ODE's stream
+(``price_barrier_quant``) or from a prebuilt grid (``price_barrier``),
+and sorts each date's values as it reaches it.  A survival factor is
+exactly 0 when either end of the interval lies beyond the barrier, so
+step k prices only from the live points of date k-1 into the live cells
+of date k, from the single point x0 at step 1.
 It builds the one-step law of those points once (``models.one_step_law``)
 and takes them in blocks of 32 rows.  Each block evaluates the law's CDF
 only on its band: the live cells between the lowest and the highest cut
@@ -26,9 +29,9 @@ cut, 9 standard deviations below, the law has at most ndtr(-9) =
 exactly 1.0 wherever its exponent is at most -54 ln 2, so each block
 evaluates it only on the part of its band nearer the barrier.  The
 block's mass is then pushed into the band of the next date's measure.  A
-call holds two 32-row work arrays per share (below) and a few
-d_N-vectors, so memory grows neither with the step count nor with d_N^2:
-no kernel H_k is ever formed in full.  The prices agree with the
+call holds two 32-row work arrays per share (below), two dates and a few
+other d_N-vectors, so memory grows neither with the step count nor with
+d_N^2: no kernel H_k is ever formed in full.  The prices agree with the
 full-matrix chain e0 H_1 ... H_n within about 5e-15 relative (the order
 of the blockwise sums); the tests build that chain from the full-range
 ``transition_block`` and the unbanded bridge CDFs, bound the gap by
@@ -56,23 +59,20 @@ import time
 import numpy as np
 
 from ._pool import _cores, _worker
-from .bridge import BridgeParams, no_crossing
+from .bridge import _EXACT_ONE, BridgeParams, no_crossing
 from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult, check_discount
 from .models import Model, one_step_law
-from .price_grid import QuantizedPriceGrid, quantize_price_process
+from .price_grid import QuantizedPriceGrid, price_dates, quantize_price_process  # noqa: F401, for the tracer
 from .transitions import mass_cells, transition_block
 
 __all__ = ["price_barrier", "price_barrier_quant"]
 
-# perfbench/tracing.py still looks these names up to wrap them; delete this line when it drops those wraps
+# perfbench/tracing.py still looks these names and quantize_price_process up to wrap them, though nothing here
+# calls them; delete this line and that import when it drops those wraps
 quantized_kernel = forward_induction = prune_knocked_rows = transition_matrices = bridge_max_cdf = bridge_min_cdf = None
 
 
-# 1 - exp(e) rounds to exactly 1.0 once exp(e) <= 2**-54, that is for
-# e <= -54 ln 2 = -37.43; the band edge sits below that, so the rounding of
-# the approximate row slope below cannot move an entry across it
-_EXACT_ONE = -38.0
 _BAND_ROWS = 32  # source rows that share one band of columns
 _SPLIT_BLOCKS = 16  # a step with fewer blocks runs on one thread
 
@@ -92,10 +92,12 @@ class _Survival:
         self.x, self.y, self.sigma, self.L = x, y, sigma, L
         self.up = contract.barrier_type is BarrierType.UP_AND_OUT
         self.n_steps, self.horizon = n_steps, horizon
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the factor of row i is exactly 1.0 where |y_j - L| >= reach_i
-            reach = -_EXACT_ONE / np.abs(2.0 * n_steps * (x - L) / (horizon * sigma**2))
-        reach[sigma == 0.0] = np.inf  # a down-and-out segment dies on the barrier: take the whole row
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            spread = horizon * sigma**2
+            # the factor of row i is exactly 1.0 where |y_j - L| >= reach_i; _EXACT_ONE lies below
+            # -54 ln 2, so the rounding of this slope cannot move an entry across the edge
+            reach = -_EXACT_ONE / np.abs(2.0 * n_steps * (x - L) / spread)
+        reach[spread == 0.0] = np.inf  # a frozen down-and-out segment dies on the barrier: take the whole row
         self.edge = np.searchsorted(y - L, -reach, "right") if self.up else np.searchsorted(y - L, reach, "left")
 
     def damp(self, block: np.ndarray, rows: slice, cols: slice, spare: np.ndarray) -> None:
@@ -128,58 +130,89 @@ def _live_cells(points: np.ndarray, contract: BarrierContract) -> tuple[int, int
 
 
 def price_barrier(model: Model, contract: BarrierContract, grid: QuantizedPriceGrid) -> PricingResult:
-    """Price the contract on prebuilt grids under the model's one-step law (``models.one_step_law``).
+    """Price the contract on a prebuilt grid under the model's one-step law (``models.one_step_law``).
 
     The grid must span the contract's maturity and start at the model's
     x0.  A contract whose live set is empty at some date prices exactly 0.
     """
     start = time.perf_counter()
-    grids, n = grid.grids, grid.n_steps
-    if n < 1 or grids.ndim != 2 or grids.shape[0] != n + 1 or grids.shape[1] == 0:
+    values, n = grid.values, grid.n_steps
+    if n < 1 or values.ndim != 2 or values.shape[0] != n + 1 or values.shape[1] == 0:
         raise ValueError("need n_steps >= 1 and one nonempty grid per pricing date")
     if grid.horizon != contract.maturity:
         raise ValueError(f"grid horizon {grid.horizon} differs from the contract maturity {contract.maturity}")
-    if grids[0][0] != model.x0:
-        raise ValueError(f"grid starts at {grids[0][0]}, the model at x0={model.x0}")
+    if values[0][0] != model.x0:
+        raise ValueError(f"grid starts at {values[0][0]}, the model at x0={model.x0}")
     check_discount(model.r, contract.maturity)
-    pi, terminal = _survival_measure(model, contract, grid)
+    return _price(model, contract, values, n, start)
+
+
+def price_barrier_quant(
+    model: Model,
+    contract: BarrierContract,
+    n_steps: int,
+    budget: int = 1000,
+) -> PricingResult:
+    """End-to-end quantization price: each date from the grid ODE is priced as it is reached.
+
+    The call holds two dates at a time, so its memory does not grow with
+    ``n_steps``.
+    """
+    start = time.perf_counter()
+    check_discount(model.r, contract.maturity)  # before the quantizer and the grid ODE are paid for
+    quantizer = brownian_product_quantizer(budget, contract.maturity)
+    return _price(model, contract, price_dates(model, quantizer, n_steps), n_steps, start)
+
+
+def _price(model: Model, contract: BarrierContract, dates, n: int, start: float) -> PricingResult:
+    """Discounted payoff under the survival measure of the dates ``dates``, timed from ``start``."""
+    pi, terminal = _survival_measure(model, contract, dates, n)
     price = 0.0 if pi is None else np.exp(-model.r * contract.maturity) * float(pi @ contract.payoff(terminal))
     return PricingResult(price=price, method="quant", elapsed=time.perf_counter() - start)
 
 
-def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPriceGrid):
+def _survival_measure(model: Model, contract: BarrierContract, dates, n: int):
     """Survival masses on the live cells of the last date, and those cells' points.
 
-    The masses are None when the live set is empty at some date.  Step k
-    takes the live points of date k-1 (the single point x0 at step 1) in
-    blocks of ``_BAND_ROWS``, with one one-step law for all of them.  Each
-    block evaluates the law's CDF only on its band, the live cells between
-    the lowest and the highest of its rows' ``mass_cells``, damps it by
-    the survival factor and pushes its mass into the band.  The band's
-    first cell absorbs the tail below the lower cut, so the rows keep their
-    sums.  On two or more cores the blocks of a step with at least
-    ``_SPLIT_BLOCKS`` of them go to two shares (``_push_in_two_shares``).
+    ``dates`` is any iterable of the n + 1 dates' values by path over the
+    contract's maturity, the first d_N copies of x0, as ``price_dates``
+    yields them or as a grid holds them.  Each date is sorted as it comes,
+    and only two dates are held at a time.  The masses are None when the
+    live set is empty at some date; the dates after it are still drawn, so
+    that the grid ODE raises wherever it would.
+
+    Step k takes the live points of date k-1 (the single point x0 at step
+    1) in blocks of ``_BAND_ROWS``, with one one-step law for all of them.
+    Each block evaluates the law's CDF only on its band, the live cells
+    between the lowest and the highest of its rows' ``mass_cells``, damps
+    it by the survival factor and pushes its mass into the band.  The
+    band's first cell absorbs the tail below the lower cut, so the rows
+    keep their sums.  On two or more cores the blocks of a step with at
+    least ``_SPLIT_BLOCKS`` of them go to two shares
+    (``_push_in_two_shares``).
     """
-    grids, n = grid.grids, grid.n_steps
-    live = [_live_cells(points, contract) for points in grids]
-    if any(lo >= hi for lo, hi in live):
-        return None, None
-    dt = grid.horizon / n
+    dates = iter(dates)
+    first = next(dates)
     # each share owns one CDF work array and one block array, which serve
     # every block of every step; each block's arrays are contiguous views
     # at their start
-    d = grids.shape[1]
+    d = first.size
     shares = [(np.empty(_BAND_ROWS * (d + 1)), np.empty(_BAND_ROWS * d)) for _ in range(min(_cores(), 2))]
-    src, pi = grids[0][:1], np.ones(1)  # date 0 is d_N copies of x0
-    for k in range(1, n + 1):
-        lo, hi = live[k]
-        gn = grids[k]
+    src, pi = first[:1], np.ones(1)  # date 0 is d_N copies of x0
+    dt = contract.maturity / n
+    lo, hi = _live_cells(src, contract)
+    for values in dates:
+        if lo < hi:  # once knocked out, the later dates are drawn unpriced, so the grid ODE raises where it would
+            gn = np.sort(values)
+            lo, hi = _live_cells(gn, contract)
+        if lo >= hi:
+            continue
         law = one_step_law(model, src, dt)
         cells = np.clip(mass_cells(law, gn), lo, hi)
         starts = np.arange(0, src.size, _BAND_ROWS)
         bands = zip(starts, np.minimum.reduceat(cells[0], starts), np.maximum.reduceat(cells[1], starts))
         blocks = [(i, a, z) for i, a, z in bands if a < z]
-        survival = _Survival(src, gn[lo:hi], np.asarray(model.diffusion(src)), contract, n, grid.horizon)
+        survival = _Survival(src, gn[lo:hi], np.asarray(model.diffusion(src)), contract, n, contract.maturity)
         step = (law, gn, lo, hi, survival, pi)
         if len(shares) == 2 and len(blocks) >= _SPLIT_BLOCKS:
             masses = _push_in_two_shares(step, blocks, shares)
@@ -189,7 +222,7 @@ def _survival_measure(model: Model, contract: BarrierContract, grid: QuantizedPr
         for cols, mass in masses:  # in block order, on one share or two
             nxt[cols] += mass
         src, pi = gn[lo:hi], nxt
-    return pi, src
+    return (pi, src) if lo < hi else (None, None)
 
 
 def _push_in_two_shares(step, blocks, shares):
@@ -236,19 +269,3 @@ def _push_blocks(step, blocks, arrays):
         cols = slice(a - lo, z - lo)
         survival.damp(p, rows, cols, spare=work)  # the CDF is spent
         yield cols, pi[rows] @ p
-
-
-def price_barrier_quant(
-    model: Model,
-    contract: BarrierContract,
-    n_steps: int,
-    budget: int = 1000,
-) -> PricingResult:
-    """End-to-end quantization price: build paths and grids, then induct under the model's one-step law."""
-    start = time.perf_counter()
-    check_discount(model.r, contract.maturity)  # before the quantizer and the grid ODE are paid for
-    quantizer = brownian_product_quantizer(budget, contract.maturity)
-    grid = quantize_price_process(model, quantizer, n_steps)
-    result = price_barrier(model, contract, grid)
-    result.elapsed = time.perf_counter() - start
-    return result

@@ -93,10 +93,17 @@ def transition_block(
 
 
 def transition_steps(model: Model, grid: QuantizedPriceGrid):
-    """The pairs (k, step-k matrix over every cell) for k = 1..n, each matrix built only when it is drawn."""
+    """The pairs (k, step-k matrix over every cell) for k = 1..n, each matrix built only when it is drawn.
+
+    Row i and cell j are the i-th and j-th points of dates k-1 and k in
+    ascending order.
+    """
     dt = grid.horizon / grid.n_steps
+    prev = np.sort(grid.values[0])
     for k in range(1, grid.n_steps + 1):
-        yield k, transition_block(one_step_law(model, grid.grids[k - 1], dt), grid.grids[k], 0, grid.d_n)
+        points = np.sort(grid.values[k])
+        yield k, transition_block(one_step_law(model, prev, dt), points, 0, grid.d_n)
+        prev = points
 
 
 def dump_transitions(steps, path) -> None:

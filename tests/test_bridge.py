@@ -88,16 +88,19 @@ class TestNoCrossing:
         assert no_crossing(100.0, 100.0 + 1e-9 * s, 100.0, P_BASE, up) == 0.0
         assert no_crossing(100.0, 100.0 - 3.0 * s, 100.0, P_BASE, up) == 0.0  # x on the barrier
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-170], ids=["sigma0", "sigma-squared-underflows"])
     @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
-    def test_zero_sigma_segment_rule(self, up):
+    def test_zero_sigma_segment_rule(self, up, sigma):
         """A frozen segment survives where u >= max(x, y) up-and-out, where u < min(x, y) down-and-out.
 
         So touching the barrier survives up-and-out but not down-and-out.
+        At sigma = 1e-170 sigma^2 underflows to 0, and the segments that
+        touch u would give 0/0 without the rule.
         """
         u = 104.0 if up else 100.0
         ends, want = zip(*FROZEN[up])
         x, y = np.array(ends).T
-        p0 = BridgeParams(10, 1.0, 0.0)
+        p0 = BridgeParams(10, 1.0, sigma)
         assert no_crossing(x, y, u, p0, up).tolist() == list(want)
         for (a, b), f in FROZEN[up]:
             assert no_crossing(a, b, u, p0, up) == f
@@ -117,6 +120,19 @@ class TestNoCrossing:
         touch = 1.0 if up else 0.0
         assert out[:2].tolist() == [[touch, 1.0], [touch, touch]]
         assert out[2].tolist() == [0.0, no_crossing(x[2, 0], 102.0, u, P_BASE, up)]
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_exponent_clamp_keeps_every_factor(self, up):
+        """With n = T = sigma = 1 and u = 0 the exponent is e = -2 x y, so x = 1 and y = 19, 360, 400, inf
+        (mirrored for ``up``) put e at -38, in exp's subnormal range, below it and at -inf: each factor is
+        exactly 1.0.  e = -37 stays above the clamp, and a NaN end still gives NaN."""
+        s = -1.0 if up else 1.0
+        p1 = BridgeParams(1, 1.0, 1.0)
+        for far in (19.0, 360.0, 400.0, np.inf):
+            assert no_crossing(s, s * far, 0.0, p1, up) == 1.0
+        assert no_crossing(s, s * np.array([19.0, 360.0, 400.0, np.inf]), 0.0, p1, up).tolist() == [1.0] * 4
+        assert no_crossing(s, s * 18.5, 0.0, p1, up) == 1.0 - math.exp(-37.0) < 1.0
+        assert np.isnan(no_crossing(s, np.nan, 0.0, p1, up))
 
 
 class TestInverses:

@@ -244,6 +244,31 @@ class TestConditionalProduct:
             assert got[i] == rbb_price_levels(model, contract, levels[i], cfg)[0].price
 
 
+@pytest.mark.parametrize("estimator", list(Estimator))
+@pytest.mark.parametrize("barrier_type", list(BarrierType), ids=["up", "down"])
+def test_underflowing_sigma_prices_as_the_frozen_model(estimator, barrier_type):
+    """At sigma = 1e-170 sigma(x)^2 underflows to 0, so each bridge is the frozen segment, as at sigma = 0.
+
+    The levels lie on the frozen path's Euler points, where the bridge
+    touches them and the factor would be 0/0 without the segment rule.
+    """
+    n = 5
+    tiny = BlackScholes(r=0.15, sigma=1e-170, x0=100.0)
+    levels = np.append(euler_path(FLAT, n, 1.0, np.zeros(n)), [90.0, 130.0])
+    contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, levels[0], 1.0)
+    cfg = McConfig(n, 100, 1, estimator)
+
+    def numbers(model):
+        return [x.hex() for r in rbb_price_levels(model, contract, levels, cfg) for x in (r.price, r.sample_variance)]
+
+    got = numbers(tiny)
+    assert all(math.isfinite(float.fromhex(x)) for x in got)
+    assert got == numbers(FLAT)
+    if estimator is Estimator.CONDITIONAL_PRODUCT:  # a drawn maximum 0.5 (x + y + |x - y|) can round past y
+        # an up-and-out call survives a barrier on the frozen path's last point
+        assert (float.fromhex(got[2 * n]) > 0.0) is (barrier_type is BarrierType.UP_AND_OUT)
+
+
 LEVELS = {BarrierType.UP_AND_OUT: (105.0, 112.0, 120.0, 130.0), BarrierType.DOWN_AND_OUT: (85.0, 92.0, 97.0)}
 
 

@@ -9,7 +9,7 @@ import pytest
 from fqbarrier.brownian import brownian_product_quantizer, build_product_quantizer
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.models import BlackScholes, PseudoCEV
-from fqbarrier.price_grid import RK6_A, RK6_B, RK6_C, dump_grids, quantize_price_process
+from fqbarrier.price_grid import RK6_A, RK6_B, RK6_C, dump_grids, price_dates, quantize_price_process
 from fqbarrier.quant_pricer import price_barrier_quant
 from tests.conftest import BS07, GRID_TOL, PCEV07, PCEV10, finer_grid, grid_log_error
 
@@ -46,7 +46,7 @@ class TestBlackScholesOracle:
         g = quantize_price_process(flat, q, 8)
         for k in range(9):
             expected = 100.0 * math.exp(0.15 * g.dates[k])
-            assert np.max(np.abs(g.grids[k] - expected)) / expected < 1e-12
+            assert np.max(np.abs(g.values[k] - expected)) / expected < 1e-12
 
     def test_closed_form_solution_small_family(self):
         q = build_product_quantizer([3, 2], horizon=1.0)
@@ -54,13 +54,12 @@ class TestBlackScholesOracle:
         for k in range(6):
             t = g.dates[k]
             exact = 100.0 * np.exp((0.15 - 0.07**2 / 2) * t + 0.07 * q.all_path_values(t))
-            got = g.grids[k][g.permutations[k]]
-            assert np.max(np.abs(got - exact) / exact) < 1e-10
+            assert np.max(np.abs(g.values[k] - exact) / exact) < 1e-10
 
     def test_substep_halving_is_converged(self, bq966):
         g4 = quantize_price_process(BS07, bq966, 10, substeps=4)
         g2 = quantize_price_process(BS07, bq966, 10, substeps=2)
-        rel = np.max(np.abs(g4.grids[-1] - g2.grids[-1]) / g4.grids[-1])
+        rel = np.max(np.abs(g4.values[-1] - g2.values[-1]) / g4.values[-1])
         assert rel < 1e-9
 
 
@@ -72,26 +71,22 @@ def grid(bq966):
 class TestGridStructure:
 
     def test_initial_grid_is_spot(self, grid):
-        assert np.all(grid.grids[0] == 100.0)
+        assert np.all(grid.values[0] == 100.0)
 
     def test_grid_lengths(self, grid):
-        for k in range(11):
-            assert grid.grids[k].shape == (966,)
+        assert grid.values.shape == (11, 966)
 
-    def test_sorted_positive(self, grid):
-        for k in range(11):
-            g = grid.grids[k]
-            assert np.all(g > 0.0)
-            assert np.all(np.diff(g) >= 0.0)
+    def test_positive(self, grid):
+        assert np.all(grid.values > 0.0)
 
-    def test_permutations_recover_path_order(self, grid, bq966):
+    def test_values_are_in_path_order(self, grid, bq966):
         t = grid.dates[7]
         exact = 100.0 * np.exp((0.15 - 0.07**2 / 2) * t + 0.07 * bq966.all_path_values(t))
-        assert np.max(np.abs(grid.grids[7][grid.permutations[7]] - exact) / exact) < 1e-8
+        assert np.max(np.abs(grid.values[7] - exact) / exact) < 1e-8
 
     def test_weighted_mean_tracks_forward_price(self, grid):
         for k in (3, 7, 10):
-            mean = float(grid.path_weights @ grid.grids[k][grid.permutations[k]])
+            mean = float(grid.path_weights @ grid.values[k])
             forward = 100.0 * math.exp(0.15 * grid.dates[k])
             assert abs(mean - forward) / forward < 0.02
 
@@ -105,8 +100,8 @@ class TestGridStructure:
     def test_stage_times_stay_inside_horizon(self, n_steps):
         # k dt + s h + h rounds one ulp past T = 1 at these step counts
         grid = quantize_price_process(BS07, brownian_product_quantizer(200, 1.0), n_steps, substeps=4)
-        assert grid.grids.shape[0] == n_steps + 1
-        assert np.all(np.isfinite(grid.grids))
+        assert grid.values.shape[0] == n_steps + 1
+        assert np.all(np.isfinite(grid.values))
 
 
 class _ExplodingModel:
@@ -150,6 +145,29 @@ class TestIntegrationFailures:
                 quantize_price_process(_RunawayModel(), q, 4)
 
 
+class TestDateStream:
+    def test_stream_yields_the_grid_dates_in_order(self, bq966):
+        grid = quantize_price_process(PCEV07, bq966, 10)
+        dates = list(price_dates(PCEV07, bq966, 10))
+        assert len(dates) == 11
+        assert all(np.array_equal(x, row) for x, row in zip(dates, grid.values))
+        assert len({id(x) for x in dates}) == 11  # a new array per date
+
+    def test_invalid_arguments_raise_at_the_call(self, bq966):
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            price_dates(BS07, bq966, 0)
+        with pytest.raises(ValueError, match="substeps must be >= 1"):
+            price_dates(BS07, bq966, 5, substeps=0)
+
+    def test_failure_raises_when_the_stream_reaches_it(self):
+        # x overflows after t = 705: the dates 0, 250 and 500 come first
+        stream = price_dates(_RunawayModel(), build_product_quantizer([2], horizon=1000.0), 4)
+        assert next(stream).tolist() == [100.0] * 2
+        assert np.isfinite(next(stream)).all() and np.isfinite(next(stream)).all()
+        with pytest.raises(FloatingPointError, match="path 0 became non-finite at t=750 "):
+            next(stream)
+
+
 class _CountingModel:
     """Forwards ``log_coefficients`` to ``model`` and counts the calls."""
 
@@ -190,7 +208,7 @@ class TestStiffnessControl:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = quantize_price_process(model, q, n_steps)
-        assert np.all(np.isfinite(grid.grids))
+        assert np.all(np.isfinite(grid.values))
         assert grid_log_error(grid, finer_grid(model, q, n_steps)) < GRID_TOL
 
     def test_partly_stiff_interval_refines_only_where_stiff(self):
@@ -209,7 +227,7 @@ class TestLogCoordinates:
         worst = 0.0
         for k in range(21):
             exact = 100.0 * np.exp((0.15 - 0.3**2 / 2) * g.dates[k] + 0.3 * q.all_path_values(g.dates[k]))
-            worst = max(worst, np.max(np.abs(g.grids[k][g.permutations[k]] - exact) / exact))
+            worst = max(worst, np.max(np.abs(g.values[k] - exact) / exact))
         assert worst < 5e-12
 
     @pytest.mark.parametrize(
@@ -234,4 +252,10 @@ class TestDump:
         assert len(rows) == 4 * 6
         row = rows[-1]
         assert int(row["k"]) == 3
-        assert float(row["price"]) == g.grids[3][5]
+        assert float(row["price"]) == np.sort(g.values[3])[5]
+        # by rank within each date, each point with its own path's weight
+        for k in range(4):
+            order = np.argsort(g.values[k], kind="stable")
+            date = rows[6 * k : 6 * k + 6]
+            assert [float(r["price"]) for r in date] == g.values[k][order].tolist()
+            assert [float(r["weight"]) for r in date] == g.path_weights[order].tolist()

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fqbarrier.quant_pricer import (
     price_barrier_quant,
 )
 from fqbarrier.tables import TABLE_SPECS
-from tests.conftest import BS07, PCEV07, chain_measures, chain_price, full_matrix
+from tests.conftest import BS07, PCEV07, chain_measures, chain_price, full_matrix, sorted_points
 
 
 def uoc(barrier, strike=100.0):
@@ -116,12 +117,14 @@ class TestSurvival:
         # the case exercises a skipped entry and one just inside -37.43 that is not p
         assert np.any((H == p) & (expected == p)) and np.any((H != p) & (H != 0.0))
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-170], ids=["sigma0", "sigma-squared-underflows"])
     @pytest.mark.parametrize("barrier_type", [BarrierType.UP_AND_OUT, BarrierType.DOWN_AND_OUT], ids=["up", "down"])
-    def test_zero_sigma_rows_take_the_whole_row(self, barrier_type):
-        """A block of sigma = 0 rows, none on the barrier, still reaches the cell on the barrier.
+    def test_zero_sigma_rows_take_the_whole_row(self, barrier_type, sigma):
+        """A block of frozen rows, none on the barrier, still reaches the cell on the barrier.
 
         A frozen segment that touches the barrier survives up-and-out and
-        dies down-and-out; every other live cell keeps its entry.
+        dies down-and-out; every other live cell keeps its entry.  At sigma
+        = 1e-170 the square underflows to 0, so the rows are frozen too.
         """
         up = barrier_type is BarrierType.UP_AND_OUT
         side = -1.0 if up else 1.0
@@ -129,7 +132,7 @@ class TestSurvival:
         y = np.sort(100.0 + side * np.array([0.0, 0.5, 2.0, 7.0]))
         contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, 100.0, 1.0)
         H = np.ones((3, 4))
-        _Survival(x, y, np.zeros(3), contract, 1, 1.0).damp(H, slice(0, 3), slice(0, 4), spare=np.empty(12))
+        _Survival(x, y, np.full(3, sigma), contract, 1, 1.0).damp(H, slice(0, 3), slice(0, 4), spare=np.empty(12))
         on_barrier = y == 100.0
         assert np.all(H[:, ~on_barrier] == 1.0)
         assert np.all(H[:, on_barrier] == (1.0 if up else 0.0))
@@ -179,9 +182,7 @@ class TestChainOracle:
         The cell takes all of the mass, and the survival factor is
         1 - exp(-2 * 5 * 5 / 49) at n = T = 1.
         """
-        grid = QuantizedPriceGrid(
-            1, 1.0, np.array([0.0, 1.0]), np.array([[100.0], [100.0]]), np.ones(1), np.zeros((2, 1), dtype=int)
-        )
+        grid = QuantizedPriceGrid(1, 1.0, np.array([0.0, 1.0]), np.array([[100.0], [100.0]]), np.ones(1))
         *_, pi = chain_measures(BS07, contract, grid)
         assert pi[0] == pytest.approx(-math.expm1(-50.0 / 49.0), rel=1e-15)
         expected = math.exp(-0.15) * 10.0 * -math.expm1(-50.0 / 49.0)
@@ -193,11 +194,12 @@ class TestChainOracle:
     def test_banded_measure_matches_the_chain_on_the_live_cells(self, model, contract):
         """The chain's terminal measure is exactly 0 beyond the barrier, and the pricer's equals it on the live cells."""
         grid = _small_grid(model)
-        lo, hi = _live_cells(grid.grids[-1], contract)
+        terminal = np.sort(grid.values[-1])
+        lo, hi = _live_cells(terminal, contract)
         assert 0 < lo or hi < grid.d_n  # some terminal cell lies beyond the barrier
         *_, chain = chain_measures(model, contract, grid)
-        banded, points = _survival_measure(model, contract, grid)
-        assert np.array_equal(points, grid.grids[-1][lo:hi])
+        banded, points = _survival_measure(model, contract, grid.values, grid.n_steps)
+        assert np.array_equal(points, terminal[lo:hi])
         assert np.all(chain[:lo] == 0.0) and np.all(chain[hi:] == 0.0)
         assert np.max(np.abs(banded - chain[lo:hi])) <= 1e-15
         assert banded.sum() == pytest.approx(chain.sum(), rel=1e-13)
@@ -218,10 +220,10 @@ class TestPriceBarrier:
     def test_leaves_the_grid_unchanged(self, quant_grid):
         """The pricer damps its own work arrays in place, never the grid's levels."""
         grid = quant_grid(BS07, 10)
-        before = grid.grids.copy()
+        before = grid.values.copy()
         for contract in (uoc(115.0), doc(95.0)):
             price_barrier(BS07, contract, grid)
-            assert np.array_equal(grid.grids, before)
+            assert np.array_equal(grid.values, before)
 
     def test_discount_overflow_is_rejected(self, quant_grid):
         """exp(-r T) overflows a float at r T = -800; the grid of another rate passes every other check."""
@@ -232,9 +234,10 @@ class TestPriceBarrier:
         """exp(720) overflows a float: ``price_barrier_quant`` raises before it builds a quantizer or a grid."""
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("the grid was built for a discount that overflows")
+            raise AssertionError("the quantizer or the grid was built for a discount that overflows")
 
-        monkeypatch.setattr(quant_pricer, "quantize_price_process", unreachable)
+        monkeypatch.setattr(quant_pricer, "brownian_product_quantizer", unreachable)
+        monkeypatch.setattr(quant_pricer, "price_dates", unreachable)
         with pytest.raises(ValueError, match=r"r=-720.0, T=1.0"):
             price_barrier_quant(BlackScholes(-720.0, 0.07, 100.0), uoc(115.0), 5, budget=60)
 
@@ -249,9 +252,9 @@ class TestPriceBarrier:
         with pytest.raises(ValueError, match="differs from the contract maturity"):
             price_barrier(BS07, dead, dataclasses.replace(grid, horizon=0.0))
         with pytest.raises(ValueError, match="nonempty grid"):
-            price_barrier(BS07, dead, dataclasses.replace(grid, grids=np.empty((11, 0))))
+            price_barrier(BS07, dead, dataclasses.replace(grid, values=np.empty((11, 0))))
         with pytest.raises(ValueError, match="one nonempty grid per pricing date"):
-            price_barrier(BS07, dead, dataclasses.replace(grid, grids=grid.grids[:-1]))
+            price_barrier(BS07, dead, dataclasses.replace(grid, values=grid.values[:-1]))
 
     def test_rejects_grid_of_another_maturity_or_spot(self, quant_grid):
         # the grid spans T=1 from x0=100; a mismatch used to price silently
@@ -293,7 +296,7 @@ class TestPriceBarrier:
 
     def test_call_and_put_from_one_measure(self, quant_grid):
         grid = quant_grid(BS07, 10)
-        pi, terminal = _survival_measure(BS07, uoc(115.0), grid)
+        pi, terminal = _survival_measure(BS07, uoc(115.0), grid.values, grid.n_steps)
         disc = np.exp(-0.15)
         call = price_barrier(BS07, uoc(115.0), grid).price
         contract_put = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.PUT, 100.0, 115.0, 1.0)
@@ -345,7 +348,7 @@ def _small_grid(model):
 
 def _barriers(grid, barrier_type):
     """A barrier on a grid point of the live side, one at x0, and both far sides."""
-    mid = grid.grids[grid.n_steps // 2]
+    mid = np.sort(grid.values[grid.n_steps // 2])
     on_point = mid[2 * mid.size // 3] if barrier_type is BarrierType.UP_AND_OUT else mid[mid.size // 3]
     return [float(on_point), 100.0, 1e6, 1e-6]
 
@@ -373,10 +376,90 @@ def test_live_block_matches_full_matrix_chain(model, barrier_type, payoff_type):
 def test_live_set_emptied_mid_horizon_prices_zero(model, barrier_type, barrier, payoff_type):
     grid = _small_grid(model)
     contract = BarrierContract(barrier_type, payoff_type, 100.0, barrier, 1.0)
-    live = [_live_range(points, contract) for points in grid.grids]
+    live = [_live_range(points, contract) for points in sorted_points(grid)]
     assert live[1][0] < live[1][1] and live[4] == (0, 0)
     assert chain_price(model, contract, grid) == 0.0
     assert price_barrier(model, contract, grid).price == 0.0
+    # the stream meets the empty date as it reaches it
+    assert price_barrier_quant(model, contract, grid.n_steps, budget=200).price == 0.0
+
+
+STREAM_MODELS = {"bs0.07": BS07, "bs0.3": BlackScholes(r=0.15, sigma=0.3, x0=100.0), "pcev0.7": PCEV07}
+
+
+@pytest.mark.parametrize("n_steps", [5, 20, 80])
+@pytest.mark.parametrize("name", STREAM_MODELS)
+def test_streamed_prices_match_the_materialized_grid(name, n_steps):
+    """``price_barrier_quant`` prices each date as the grid ODE yields it, and gives the bits of a prebuilt grid.
+
+    The barriers lie on a point of the middle date, at x0 and far on
+    either side; the emptied live sets are in
+    ``test_live_set_emptied_mid_horizon_prices_zero``.
+    """
+    model = STREAM_MODELS[name]
+    grid = quantize_price_process(model, brownian_product_quantizer(200, 1.0), n_steps)
+    for barrier_type, payoff_type in SIDES:
+        for barrier in _barriers(grid, barrier_type):
+            contract = BarrierContract(barrier_type, payoff_type, 100.0, barrier, 1.0)
+            streamed = price_barrier_quant(model, contract, n_steps, budget=200).price
+            assert streamed.hex() == price_barrier(model, contract, grid).price.hex(), (barrier_type, barrier)
+
+
+@pytest.mark.parametrize(
+    "model,maturity,n_steps,barriers,message",
+    [
+        # x0 e^(800 t) overflows at t = 1, after four priced dates; the barrier at 150 is passed at t = 0.2
+        (BlackScholes(800.0, 0.07, 100.0), 1.0, 5, (1e300, 150.0, 95.0),
+         "path 0 became non-finite at t=1 during grid integration"),
+        (PseudoCEV(0.0, 200.0, 0.5, 100.0), 30.0, 3, (120.0, 95.0),
+         "path 0 is too stiff or too fast to integrate at t=0.00808716: at 65536 substeps per interval its step "
+         "load h max(|df/dy|/0.25, |f|/0.5) = 1.05 is non-finite or above 1"),
+    ],
+    ids=["overflow", "stiff"],
+)
+def test_streamed_pricing_raises_where_the_grid_does(model, maturity, n_steps, barriers, message):
+    """A contract live to the failing date, one knocked out before it and one dead at x0 all raise the ODE's error.
+
+    The stream is drawn to maturity even once the live set is empty, and no
+    warning comes first.
+    """
+    quantizer = brownian_product_quantizer(60, maturity)
+    with pytest.raises(FloatingPointError) as built:
+        quantize_price_process(model, quantizer, n_steps)
+    assert str(built.value) == message
+    for barrier in barriers:
+        contract = BarrierContract(BarrierType.UP_AND_OUT, PayoffType.CALL, 100.0, barrier, maturity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError) as streamed:
+                price_barrier_quant(model, contract, n_steps, budget=60)
+        assert str(streamed.value) == message
+
+
+@pytest.mark.parametrize(
+    "rate,barrier_type,payoff_type",
+    [(0.15, BarrierType.UP_AND_OUT, PayoffType.CALL), (-0.15, BarrierType.DOWN_AND_OUT, PayoffType.PUT)],
+    ids=["up", "down"],
+)
+def test_underflowing_sigma_prices_as_the_frozen_model(rate, barrier_type, payoff_type):
+    """At sigma = 1e-170 the bridge variance T sigma(x)^2 underflows to 0: each step is the frozen segment.
+
+    Every path is the frozen path 100 e^(rate t), and the barriers lie on
+    its points, which the segments touch.  A segment that touches the
+    barrier survives up-and-out and dies down-and-out, so only the
+    up-and-out call with the barrier on the last point is worth anything.
+    """
+    tiny, frozen = BlackScholes(rate, 1e-170, 100.0), BlackScholes(rate, 0.0, 100.0)
+    grid = quantize_price_process(tiny, brownian_product_quantizer(60, 1.0), 5)
+    points = grid.values[:, 0]
+    assert np.all(grid.values == points[:, None])
+    prices = []
+    for barrier in points:
+        contract = BarrierContract(barrier_type, payoff_type, 100.0, float(barrier), 1.0)
+        prices.append(price_barrier(tiny, contract, grid).price)
+        assert prices[-1].hex() == price_barrier_quant(frozen, contract, 5, budget=60).price.hex()
+    assert prices[:-1] == [0.0] * 5
+    assert (prices[-1] > 0.0) == (barrier_type is BarrierType.UP_AND_OUT)
 
 
 BS_FROZEN = BlackScholes(r=0.15, sigma=0.0, x0=100.0)  # the path 100 e^(0.15 t) reaches 116.2
@@ -410,7 +493,7 @@ def test_banded_prices_match_full_matrix_chain_at_n80(model, barrier_type, barri
     call = BarrierContract(barrier_type, PayoffType.CALL, 100.0, barrier, 1.0)
     *_, pi = chain_measures(model, call, grid)  # the measure does not depend on the payoff
     for contract in (call, dataclasses.replace(call, payoff_type=PayoffType.PUT)):
-        chain = np.exp(-model.r) * float(pi @ contract.payoff(grid.grids[-1]))
+        chain = np.exp(-model.r) * float(pi @ contract.payoff(np.sort(grid.values[-1])))
         banded = price_barrier(model, contract, grid).price
         if chain == 0.0:
             assert banded == 0.0
@@ -423,12 +506,12 @@ def test_banded_prices_match_full_matrix_chain_at_n80(model, barrier_type, barri
 def _grid_on_the_mean_path(model, grid):
     """``grid`` with each date's points moved to within a few ulps of the one-step mean from the last date's."""
     j = np.arange(grid.d_n) - grid.d_n // 2
-    grids, centre = np.empty_like(grid.grids), model.x0
-    grids[0] = centre
+    values, centre = np.empty_like(grid.values), model.x0
+    values[0] = centre
     for k in range(1, grid.n_steps + 1):
         centre = float(one_step_law(model, centre, grid.horizon / grid.n_steps).quantile(0.0)[0])
-        grids[k] = centre * (1.0 + j * 2.0**-53)
-    return dataclasses.replace(grid, grids=grids)
+        values[k] = centre * (1.0 + j * 2.0**-53)
+    return dataclasses.replace(grid, values=values)
 
 
 @pytest.mark.parametrize("spread", [1e-300, 1e-30, 1e-16, 1e-14])
@@ -484,7 +567,8 @@ def test_step_one_evaluates_the_single_point_x0(monkeypatch):
     price_barrier_quant(BS07, contract, 5, budget=200)
     grid = quantize_price_process(BS07, brownian_product_quantizer(200, 1.0), 5)
     assert sources[0].tolist() == [math.log(BS07.x0)]
-    expected = [grid.grids[k][slice(*_live_range(grid.grids[k], contract))] for k in range(1, 5)]
+    points = sorted_points(grid)
+    expected = [points[k][slice(*_live_range(points[k], contract))] for k in range(1, 5)]
     later = sources[1:]
     assert all(0 < x.size <= _BAND_ROWS for x in later)
     assert np.array_equal(np.concatenate(later), np.log(np.concatenate(expected)))
@@ -519,7 +603,8 @@ def test_two_shares_evaluate_every_live_source_once(monkeypatch):
         rows = sorted(rows, key=lambda r: r.start)
         assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
         assert all(0 < r.stop - r.start <= _BAND_ROWS for r in rows)
-        expected = grid.grids[k][slice(*_live_range(grid.grids[k], contract))]
+        points = np.sort(grid.values[k])
+        expected = points[slice(*_live_range(points, contract))]
         assert rows[-1].stop == expected.size == law.origin.size
         assert np.array_equal(law.origin, np.log(expected))
     assert len({thread for _, _, thread in calls}) == 2  # the worker priced some blocks
@@ -610,24 +695,28 @@ class TestEndToEnd:
         assert 2.0 < r.price < 3.5
 
 
-def test_price_barrier_memory_flat_in_steps():
-    """Transitions are built per step inside the pricing call, so its peak does not grow with n."""
-    brownian_product_quantizer(200, 1.0)  # warm the quantizer cache outside the measurement
+@pytest.mark.parametrize("model", [BS07, PCEV07], ids=["bs", "pcev"])
+def test_price_barrier_quant_memory_flat_in_steps(model):
+    """Each date is priced as the grid ODE yields it and two are held at a time, so the peak does not grow with n.
+
+    A grid of every date would add 8 d_N bytes a date, 0.15 MB at n = 400.
+    """
+    brownian_product_quantizer(60, 1.0)  # warm the quantizer cache outside the measurement
     peaks = {}
-    for n in (10, 30):
+    for n in (5, 400):
         tracemalloc.start()
         try:
-            price_barrier_quant(BS07, uoc(115.0), n, budget=200)
+            price_barrier_quant(model, uoc(115.0), n, budget=60)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[30] <= 1.5 * peaks[10]
+    assert peaks[400] <= peaks[5] + 0.05 * 2**20
 
 
 def test_price_barrier_work_memory_is_a_few_row_blocks(quant_grid):
     """With the grid prebuilt, a call holds O(_BAND_ROWS d_N) work memory: no d_N x d_N array."""
     grid = quant_grid(BS07, 20)
-    d = grid.grids.shape[1]
+    d = grid.d_n
     price_barrier(BS07, uoc(115.0), grid)
     tracemalloc.start()
     try:

@@ -19,7 +19,7 @@ from fqbarrier.transitions import (
     transition_block,
     transition_steps,
 )
-from tests.conftest import BS07, PCEV07, euler_law, full_matrix
+from tests.conftest import BS07, PCEV07, euler_law, full_matrix, sorted_points
 
 # frozen lognormal/Gaussian CDF evaluations at the single midpoint 100
 EXACT_ROW = [0.25252566906, 0.74747433094]
@@ -93,7 +93,7 @@ class TestTransitionMatrix:
         grid = quant_grid(BS07, 10)
         dt = 0.1
         for k in (1, 5, 10):
-            gp, gn = grid.grids[k - 1], grid.grids[k]
+            gp, gn = sorted_points(grid)[k - 1 : k + 1]
             inner = 0.5 * (gn[:-1] + gn[1:])
             cum = one_step_law(BS07, gp, dt).cdf(inner)
             raw = np.diff(np.concatenate([np.zeros((966, 1)), cum, np.ones((966, 1))], axis=1), axis=1)
@@ -108,7 +108,7 @@ class TestTransitionMatrix:
     def test_euler_mode_default_for_pcev(self, quant_pipeline):
         grid, mats = quant_pipeline(PCEV07, 10)
         assert np.max(np.abs(mats[0].sum(axis=1) - 1.0)) < 1e-10
-        gp, gn = grid.grids[4], grid.grids[5]
+        gp, gn = sorted_points(grid)[4:6]
         default = full_matrix(PCEV07, gp, gn, 0.1)
         assert np.array_equal(default, transition_block(euler_law(PCEV07, gp, 0.1), gn, 0, gn.size))
         assert np.array_equal(default, mats[4])
@@ -127,7 +127,7 @@ class TestTransitionBlock:
     @pytest.mark.parametrize("model", [BS07, PCEV07], ids=["bs-exact", "pcev-euler"])
     def test_block_is_exact_slice_of_full_matrix(self, quant_pipeline, model):
         grid, mats = quant_pipeline(model, 10)
-        gp, gn = grid.grids[4], grid.grids[5]
+        gp, gn = sorted_points(grid)[4:6]
         d = gn.size
         law = one_step_law(model, gp, 0.1)
         for lo, hi in ((0, d), (0, 1), (0, 400), (300, d), (d - 1, d), (200, 700), (0, 0), (d, d)):
@@ -167,7 +167,7 @@ class TestMassCells:
         grid = quant_grid(model, n_steps)
         dt = 1.0 / n_steps
         for k in (1, n_steps // 2, n_steps):
-            gp, gn = grid.grids[k - 1], grid.grids[k]
+            gp, gn = sorted_points(grid)[k - 1 : k + 1]
             law = law_of(model, gp, dt)
             p = transition_block(law, gn, 0, gn.size)
             lo, hi = mass_cells(law, gn)
@@ -215,7 +215,7 @@ class TestChainMarginals:
 
     def test_pushforward_mean_tracks_forward_price(self, quant_pipeline):
         grid, mats = quant_pipeline(BS07, 10)
-        mean = float(_marginals(mats)[-1] @ grid.grids[-1])
+        mean = float(_marginals(mats)[-1] @ np.sort(grid.values[-1]))
         forward = 100.0 * math.exp(0.15)
         assert abs(mean - forward) / forward < 0.02
 
@@ -236,8 +236,9 @@ class TestDump:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["k", "i", "j", "p"])
+        points = sorted_points(grid)
         for k in range(1, grid.n_steps + 1):
-            p = full_matrix(BS07, grid.grids[k - 1], grid.grids[k], grid.horizon / grid.n_steps)
+            p = full_matrix(BS07, points[k - 1], points[k], grid.horizon / grid.n_steps)
             for i, row in enumerate(p):
                 writer.writerows([k, i, j, f"{v:.17g}"] for j, v in enumerate(row))
         assert out.read_bytes() == expected.getvalue().encode()
