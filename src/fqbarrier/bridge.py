@@ -1,4 +1,4 @@
-"""Conditional laws of the per-interval extremum of the piecewise Euler path.
+"""The Brownian-bridge no-crossing factor and the bridge extremum draw of the piecewise Euler path.
 
 Between consecutive grid dates the interpolated Euler path is a Brownian
 bridge with the diffusion frozen at the left endpoint, so the conditional
@@ -12,50 +12,24 @@ with n subintervals over a horizon T.  Both pricers take the factor in
 parentheses, the probability that the bridge does not cross u, from
 ``no_crossing``.  Both distributions invert in closed form:
 ``bridge_extremum`` is that inverse, and the indicator estimator of the
-Monte Carlo pricer draws every interval's extremum through it.  All
-functions broadcast over x, y, u and over ``sigma_x``.
+Monte Carlo pricer draws every interval's extremum through it.  Both
+broadcast over x, y, u and ``sigma`` and check no argument: the callers
+ensure n >= 1 (``McConfig``, ``price_dates``), T > 0 (``BarrierContract``)
+and sigma(x) >= 0 (the models, and ``abs`` in the Monte Carlo).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "BridgeParams",
-    "bridge_max_cdf",
-    "bridge_min_cdf",
-    "bridge_extremum",
-    "no_crossing",
-]
+__all__ = ["bridge_extremum", "no_crossing"]
 
 # 1 - exp(e) rounds to exactly 1.0 once exp(e) <= 2**-54, that is for
 # e <= -54 ln 2 = -37.43
 _EXACT_ONE = -38.0
 
 
-@dataclass(frozen=True)
-class BridgeParams:
-    """Interval geometry and the frozen left-endpoint diffusion value.
-
-    ``sigma_x`` may be an array when evaluating many bridges at once.
-    """
-
-    n_steps: int
-    horizon: float
-    sigma_x: object  # float or ndarray
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        if np.any(np.asarray(self.sigma_x) < 0.0):
-            raise ValueError("sigma_x must be nonnegative")
-
-
-def no_crossing(x, y, u, p: BridgeParams, up: bool, out=None):
+def no_crossing(x, y, u, n_steps: int, horizon: float, sigma, up: bool, out=None):
     """P(the bridge from x to y stays below u if ``up``, above it if not): 1 - exp(min(e, 0)).
 
     e = -2 n (x-u)(y-u) / (T sigma(x)^2).  x lies on that side of u or on
@@ -72,10 +46,10 @@ def no_crossing(x, y, u, p: BridgeParams, up: bool, out=None):
     ``out``, of the broadcast shape, receives the result and every
     intermediate of that shape.
     """
-    sigma = np.asarray(p.sigma_x, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        spread = p.horizon * sigma**2
-        ex = np.multiply(-2.0 * p.n_steps * (x - u), np.subtract(y, u), out=out)
+        spread = horizon * sigma**2
+        ex = np.multiply(-2.0 * n_steps * (x - u), np.subtract(y, u), out=out)
         ex = np.divide(ex, spread, out=out)
         survival = np.asarray(np.subtract(1.0, np.exp(np.clip(ex, _EXACT_ONE, 0.0, out=out), out=out), out=out))
     frozen = spread == 0.0
@@ -84,26 +58,20 @@ def no_crossing(x, y, u, p: BridgeParams, up: bool, out=None):
     return survival
 
 
-def bridge_max_cdf(x, y, u, p: BridgeParams):
-    """P(max of the bridge <= u | endpoints x, y)."""
-    return np.where(u >= np.maximum(x, y), no_crossing(x, y, u, p, True), 0.0)
-
-
-def bridge_min_cdf(x, y, u, p: BridgeParams):
-    """P(min of the bridge <= u | endpoints x, y)."""
-    return 1.0 - np.where(u <= np.minimum(x, y), no_crossing(x, y, u, p, False), 0.0)
-
-
-def bridge_extremum(x, y, log_v, p: BridgeParams, up: bool):
+def bridge_extremum(x, y, log_v, n_steps: int, horizon: float, sigma, up: bool):
     """Draw of the bridge maximum (``up``) or minimum given the endpoints x, y.
 
     ``log_v`` is the log of a uniform v in (0, 1].  The maximum is the
     quantile of G_{x,y} at 1 - v and the minimum that of F_{x,y} at v, the
     root of (z - x)(z - y) = -T sigma(x)^2 log(v) / (2 n) beyond the
-    endpoints; with ``p.sigma_x`` = 0 it is the endpoint extreme.  No input
-    is checked here: the Monte Carlo loop calls this once per step, with
+    endpoints.  Where T sigma(x)^2 is 0, as in ``no_crossing``, it is
+    max(x, y) or min(x, y) exactly, which the root's 0.5 (x + y + |x - y|)
+    can round past.  The Monte Carlo loop calls this once per step, with
     uniforms already floored into (0, 1).
     """
-    s = p.sigma_x
-    root = np.sqrt((x - y) ** 2 - 2.0 * p.horizon * s * s * log_v / p.n_steps)
-    return 0.5 * (x + y + root) if up else 0.5 * (x + y - root)
+    root = np.sqrt((x - y) ** 2 - 2.0 * horizon * sigma * sigma * log_v / n_steps)
+    draw = np.asarray(0.5 * (x + y + root) if up else 0.5 * (x + y - root))
+    frozen = horizon * np.asarray(sigma) ** 2 == 0.0
+    if frozen.any():
+        np.copyto(draw, np.maximum(x, y) if up else np.minimum(x, y), where=frozen)
+    return draw

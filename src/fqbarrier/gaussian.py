@@ -32,7 +32,6 @@ __all__ = [
     "LloydConvergenceError",
     "optimal_normal_quantizer",
     "solve_normal_quantizers",
-    "quantizer_weights",
     "distortion",
     "lloyd_step",
     "save_quantizer",
@@ -125,15 +124,6 @@ def _cell_errors(points: np.ndarray, starts: np.ndarray = _NO_STARTS):
     """
     lo, hi, pl, ph, mass = _cell_moments(points, starts)
     return mass, (1.0 + points**2) * mass + (lo - 2.0 * points) * pl - (hi - 2.0 * points) * ph
-
-
-def quantizer_weights(points) -> np.ndarray:
-    """Gaussian mass of each midpoint Voronoi cell of an increasing grid.
-
-    weight[i] = Phi(mid(i, i+1)) - Phi(mid(i-1, i)) with the outer
-    boundaries at -inf/+inf, so the weights sum to one up to rounding.
-    """
-    return _cell_moments(_validate_points(points))[4]
 
 
 def distortion(points) -> float:

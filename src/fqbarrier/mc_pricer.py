@@ -4,6 +4,9 @@ Paths follow the discrete Euler scheme; between consecutive dates the
 extremum of the interpolating bridge is either simulated by inverting its
 conditional distribution (indicator estimator) or integrated out
 analytically (conditional-product estimator, lower variance by Jensen).
+Where T sigma(x)^2 is 0 the bridge is the segment between the Euler
+points, and in both estimators a path that touches a level survives it
+up-and-out and dies on it down-and-out, as ``bridge.no_crossing`` rules.
 This is the continuous Euler scheme for killed diffusions (Gobet 2000):
 both estimators are unbiased for the Euler-with-bridge scheme at the
 configured ``n_steps``, and that scheme converges to the continuous-
@@ -56,7 +59,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._pool import _cores, _worker
-from .bridge import BridgeParams, bridge_extremum, no_crossing
+from .bridge import bridge_extremum, no_crossing
 from .contracts import BarrierContract, BarrierType, PricingResult, check_discount
 from .models import Model
 
@@ -169,10 +172,9 @@ def _simulate_levels(
                 # an Euler path can cross zero, making sig negative; the
                 # bridge law depends on sig only through sig^2
                 if conditional:
-                    params = BridgeParams(n, T, np.abs(sig)[:, None])
-                    factors *= no_crossing(X[:, None], Xn[:, None], levels, params, up)
+                    factors *= no_crossing(X[:, None], Xn[:, None], levels, n, T, np.abs(sig)[:, None], up)
                 else:
-                    draw = bridge_extremum(X, Xn, np.log(V[:, k]), BridgeParams(n, T, np.abs(sig)), up)
+                    draw = bridge_extremum(X, Xn, np.log(V[:, k]), n, T, np.abs(sig), up)
                     if up:
                         np.maximum(extreme, draw, out=extreme)
                     else:
@@ -194,17 +196,18 @@ def _simulate_levels(
         else:
             run(first, pieces, draws)
         pay = disc * contract.payoff(terminal[:m])
-        # reduce level by level over contiguous rows, so the rounding tree of
-        # a level's sum depends on neither the number of levels nor the chunk
+        # reduce level by level, one contiguous row each, so the rounding trees of a level's
+        # sums depend on neither the number of levels nor the chunk (einsum over all the rows
+        # at once splits a row's sum of squares where its buffer ends)
         for c in range(0, q, _LEVEL_CHUNK):
             part = slice(c, c + _LEVEL_CHUNK)
             if conditional:
                 Yt = np.multiply(state[:m, part].T, pay, order="C")
-            else:
+            else:  # a path that touches a level survives it up-and-out only, as in no_crossing
                 chunk = levels[part, None]
-                Yt = pay * (chunk >= state[:m] if up else chunk <= state[:m])
+                Yt = pay * (chunk >= state[:m] if up else chunk < state[:m])
             sums[part] += Yt.sum(axis=1)
-            sumsq[part] += np.einsum("ij,ij->i", Yt, Yt)
+            sumsq[part] += [np.einsum("j,j->", row, row) for row in Yt]
     return sums, sumsq
 
 

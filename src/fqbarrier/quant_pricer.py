@@ -34,7 +34,8 @@ other d_N-vectors, so memory grows neither with the step count nor with
 d_N^2: no kernel H_k is ever formed in full.  The prices agree with the
 full-matrix chain e0 H_1 ... H_n within about 5e-15 relative (the order
 of the blockwise sums); the tests build that chain from the full-range
-``transition_block`` and the unbanded bridge CDFs, bound the gap by
+``transition_block`` and unbanded bridge CDFs of their own, written from
+the closed forms apart from ``bridge.no_crossing``, bound the gap by
 1e-13, and check that a chain that prices exactly 0 still does.
 
 When the process may run on two or more cores, a step with at least
@@ -59,7 +60,7 @@ import time
 import numpy as np
 
 from ._pool import _cores, _worker
-from .bridge import _EXACT_ONE, BridgeParams, no_crossing
+from .bridge import _EXACT_ONE, no_crossing
 from .brownian import brownian_product_quantizer
 from .contracts import BarrierContract, BarrierType, PricingResult, check_discount
 from .models import Model, one_step_law
@@ -116,8 +117,7 @@ class _Survival:
             return
         xs, ys = self.x[rows, None], self.y[a:z]
         out = spare[: xs.size * ys.size].reshape(xs.size, ys.size)
-        params = BridgeParams(self.n_steps, self.horizon, self.sigma[rows, None])
-        survival = no_crossing(xs, ys, self.L, params, self.up, out=out)
+        survival = no_crossing(xs, ys, self.L, self.n_steps, self.horizon, self.sigma[rows, None], self.up, out=out)
         band = block[:, a - cols.start : z - cols.start]
         np.multiply(band, survival, out=band)
 

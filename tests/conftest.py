@@ -6,7 +6,6 @@ import pytest
 from hypothesis import settings
 
 from fqbarrier import price_grid
-from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.contracts import BarrierType
 from fqbarrier.models import BlackScholes, OneStepLaw, PseudoCEV, one_step_law
@@ -45,6 +44,41 @@ def full_matrix(model, grid_prev, grid_next, dt):
     return transition_block(one_step_law(model, grid_prev, dt), grid_next, 0, grid_next.size)
 
 
+def _bridge_factor(x, y, u, n_steps, horizon, sigma):
+    """(1 - exp(-2 n (x-u)(y-u) / (T sigma^2)), whether T sigma^2 is 0), broadcast over every argument.
+
+    Written from the closed forms G and F of the ``fqbarrier.bridge``
+    docstring, sharing no code with the library.  The exponent is not
+    clamped: 1 - exp(e) is 1.0 for any e <= -54 ln 2.
+    """
+    x, y, sigma = (np.asarray(a, dtype=float) for a in (x, y, sigma))
+    spread = horizon * sigma**2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return 1.0 - np.exp(-2.0 * n_steps * (x - u) * (y - u) / spread), spread == 0.0
+
+
+def bridge_max_cdf(x, y, u, n_steps, horizon, sigma):
+    """G_{x,y}(u) = P(max of the bridge from x to y <= u), the diffusion frozen at ``sigma`` = sigma(x).
+
+    Where T sigma^2 is 0 the bridge is the segment from x to y, whose
+    maximum is max(x, y).
+    """
+    factor, frozen = _bridge_factor(x, y, u, n_steps, horizon, sigma)
+    top = np.maximum(x, y)
+    return np.where(frozen, u >= top, np.where(u >= top, factor, 0.0))
+
+
+def bridge_min_cdf(x, y, u, n_steps, horizon, sigma):
+    """F_{x,y}(u) = P(min of the bridge from x to y <= u), the diffusion frozen at ``sigma`` = sigma(x).
+
+    Where T sigma^2 is 0 the bridge is the segment from x to y, whose
+    minimum is min(x, y), so F is 1 from u = min(x, y) on.
+    """
+    factor, frozen = _bridge_factor(x, y, u, n_steps, horizon, sigma)
+    bottom = np.minimum(x, y)
+    return 1.0 - np.where(frozen, u < bottom, np.where(u <= bottom, factor, 0.0))
+
+
 def chain_measures(model, contract, grid):
     """The survival measures e0 H_1 ... H_k of the full-matrix chain, for k = 1..n, each over every cell.
 
@@ -52,8 +86,9 @@ def chain_measures(model, contract, grid):
     k: p_k is ``full_matrix`` and g the bridge survival factor at the
     barrier, ``bridge_max_cdf`` (up-and-out) or 1 - ``bridge_min_cdf``
     (down-and-out) with the diffusion frozen at the source point, over the
-    whole matrix.  Nothing here bands, cuts or skips, so this is the oracle
-    of the pricer's blockwise measure.
+    whole matrix.  Nothing here bands, cuts or skips, and the factor is
+    not the library's ``bridge.no_crossing``, so this is the oracle of the
+    pricer's blockwise measure and of its survival formula.
     """
     dt = grid.horizon / grid.n_steps
     up = contract.barrier_type is BarrierType.UP_AND_OUT
@@ -61,11 +96,9 @@ def chain_measures(model, contract, grid):
     pi = np.eye(1, grid.d_n)[0]
     for k in range(1, grid.n_steps + 1):
         x, y = points[k - 1], points[k]
-        params = BridgeParams(grid.n_steps, grid.horizon, np.asarray(model.diffusion(x))[:, None])
-        if up:
-            g = bridge_max_cdf(x[:, None], y[None, :], contract.barrier, params)
-        else:
-            g = 1.0 - bridge_min_cdf(x[:, None], y[None, :], contract.barrier, params)
+        sigma = np.asarray(model.diffusion(x))[:, None]
+        bridge = (x[:, None], y[None, :], contract.barrier, grid.n_steps, grid.horizon, sigma)
+        g = bridge_max_cdf(*bridge) if up else 1.0 - bridge_min_cdf(*bridge)
         pi = pi @ (full_matrix(model, x, y, dt) * g)
         yield pi
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from fqbarrier.bridge import BridgeParams, bridge_extremum, bridge_max_cdf, bridge_min_cdf
+from fqbarrier.bridge import bridge_extremum
 from fqbarrier.brownian import optimal_decomposition
 from fqbarrier.closed_form import vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
@@ -24,7 +24,7 @@ from fqbarrier.mc_pricer import Estimator, McConfig, rbb_price, rbb_price_levels
 from fqbarrier.models import one_step_law
 from fqbarrier.quant_pricer import price_barrier
 from fqbarrier.tables import DEFAULT_SEED, REFERENCE_SEED_OFFSET, TABLE_SPECS, run_table
-from tests.conftest import BS07, chain_measures
+from tests.conftest import BS07, bridge_max_cdf, bridge_min_cdf, chain_measures
 
 # benchmark values as printed in the reference tables
 TRUE_SIGMA_007 = {105: 0.034, 110: 0.59, 115: 2.58, 120: 6.01, 125: 9.58, 130: 12.07}
@@ -167,25 +167,25 @@ def test_criterion_7_quantizer_properties():
 
 
 def test_criterion_8_bridge_law_properties():
-    params = BridgeParams(10, 1.0, 7.0)
+    params = (10, 1.0, 7.0)  # n, T, sigma(x)
     rng = np.random.default_rng(314159)
     worst_rt = 0.0
     for _ in range(200):
         x, y = rng.uniform(60.0, 140.0, size=2)
         w = rng.uniform(1e-6, 1 - 1e-6)
-        zmax = bridge_extremum(x, y, math.log1p(-w), params, up=True)
-        zmin = bridge_extremum(x, y, math.log(w), params, up=False)
-        worst_rt = max(worst_rt, abs(bridge_max_cdf(x, y, zmax, params) - w))
-        worst_rt = max(worst_rt, abs(bridge_min_cdf(x, y, zmin, params) - w))
+        zmax = bridge_extremum(x, y, math.log1p(-w), *params, up=True)
+        zmin = bridge_extremum(x, y, math.log(w), *params, up=False)
+        worst_rt = max(worst_rt, abs(bridge_max_cdf(x, y, zmax, *params) - w))
+        worst_rt = max(worst_rt, abs(bridge_min_cdf(x, y, zmin, *params) - w))
     u = rng.uniform(1e-12, 1 - 1e-12, size=100_000)
     ks_max = kstest(
-        bridge_extremum(100.0, 102.0, np.log1p(-u), params, up=True),
-        lambda z: bridge_max_cdf(100.0, 102.0, z, params),
+        bridge_extremum(100.0, 102.0, np.log1p(-u), *params, up=True),
+        lambda z: bridge_max_cdf(100.0, 102.0, z, *params),
     ).statistic
     u = rng.uniform(1e-12, 1 - 1e-12, size=100_000)
     ks_min = kstest(
-        bridge_extremum(100.0, 97.0, np.log(u), params, up=False),
-        lambda z: bridge_min_cdf(100.0, 97.0, z, params),
+        bridge_extremum(100.0, 97.0, np.log(u), *params, up=False),
+        lambda z: bridge_min_cdf(100.0, 97.0, z, *params),
     ).statistic
     ok = worst_rt < 1e-12 and ks_max < 0.01 and ks_min < 0.01
     _report(8, ok, f"roundtrip error {worst_rt:.1e}; KS max-law {ks_max:.4f}, min-law {ks_min:.4f}")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fqbarrier import gaussian
 from fqbarrier.gaussian import (
@@ -11,7 +12,6 @@ from fqbarrier.gaussian import (
     lloyd_step,
     load_quantizer,
     optimal_normal_quantizer,
-    quantizer_weights,
     save_quantizer,
     solve_normal_quantizers,
 )
@@ -51,6 +51,14 @@ class TestOptimalQuantizer:
         q = optimal_normal_quantizer(n)
         assert np.max(np.abs(q.points + q.points[::-1])) < 1e-9
         assert q.weights == pytest.approx(q.weights[::-1].tolist(), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 10, 23, 64])
+    def test_weights_are_the_cell_masses(self, n):
+        """weight[i] = Phi(mid(i, i+1)) - Phi(mid(i-1, i)), the outer edges at -inf and +inf, so they sum to 1."""
+        q = optimal_normal_quantizer(n)
+        edges = np.concatenate([[-np.inf], 0.5 * (q.points[1:] + q.points[:-1]), [np.inf]])
+        assert q.weights == pytest.approx(np.diff(ndtr(edges)), abs=1e-15)
+        assert abs(q.weights.sum() - 1.0) < 1e-12 and np.all(q.weights > 0.0)
 
     def test_deterministic(self):
         a = optimal_normal_quantizer(17)
@@ -211,33 +219,6 @@ class TestDistortion:
             distortion([])
         with pytest.raises(ValueError):
             distortion([1.0, 1.0])
-
-
-class TestWeights:
-    def test_trivial(self):
-        assert quantizer_weights([0.0]).tolist() == [1.0]
-
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5])
-    def test_symmetric_pair(self, a):
-        assert quantizer_weights([-a, a]) == pytest.approx([0.5, 0.5], abs=1e-15)
-
-    def test_three_points(self):
-        w = quantizer_weights([-1.0, 0.0, 1.0])
-        expected = [0.3085375387259869, 0.3829249225480262, 0.3085375387259869]
-        assert w == pytest.approx(expected, abs=1e-15)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_grids_sum_to_one(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = np.sort(rng.normal(size=rng.integers(1, 30)))
-        pts = np.unique(pts)
-        w = quantizer_weights(pts)
-        assert abs(w.sum() - 1.0) < 1e-12
-        assert np.all(w > 0.0)
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError):
-            quantizer_weights([0.0, 0.0, 1.0])
 
 
 class TestCacheFile:

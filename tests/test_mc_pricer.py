@@ -3,6 +3,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from fqbarrier import mc_pricer, quant_pricer
-from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.closed_form import barrier_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
 from fqbarrier.mc_pricer import (
@@ -26,7 +26,7 @@ from fqbarrier.mc_pricer import (
 )
 from fqbarrier.models import BlackScholes, PseudoCEV
 from fqbarrier.tables import run_table
-from tests.conftest import BS07, PCEV07
+from tests.conftest import BS07, PCEV07, bridge_max_cdf, bridge_min_cdf
 
 
 def euler_path(model, n_steps, maturity, normals):
@@ -228,11 +228,11 @@ class TestConditionalProduct:
         product = np.ones((n_paths, levels.size))
         for k in range(n):
             x, y = paths[:, k, None], paths[:, k + 1, None]
-            params = BridgeParams(n, 1.0, np.abs(model.diffusion(x)))
+            bridge = (x, y, levels, n, 1.0, np.abs(model.diffusion(x)))
             if barrier_type is BarrierType.UP_AND_OUT:
-                product *= bridge_max_cdf(x, y, levels, params)
+                product *= bridge_max_cdf(*bridge)
             else:
-                product *= 1.0 - bridge_min_cdf(x, y, levels, params)
+                product *= 1.0 - bridge_min_cdf(*bridge)
         pay = math.exp(-model.r) * contract.payoff(paths[:, -1])
         expected = (pay[:, None] * product).mean(axis=0)
         cfg = McConfig(n, n_paths, seed, Estimator.CONDITIONAL_PRODUCT)
@@ -264,9 +264,85 @@ def test_underflowing_sigma_prices_as_the_frozen_model(estimator, barrier_type):
     got = numbers(tiny)
     assert all(math.isfinite(float.fromhex(x)) for x in got)
     assert got == numbers(FLAT)
-    if estimator is Estimator.CONDITIONAL_PRODUCT:  # a drawn maximum 0.5 (x + y + |x - y|) can round past y
-        # an up-and-out call survives a barrier on the frozen path's last point
-        assert (float.fromhex(got[2 * n]) > 0.0) is (barrier_type is BarrierType.UP_AND_OUT)
+    # an up-and-out call survives a barrier on the frozen path's last point
+    assert (float.fromhex(got[2 * n]) > 0.0) is (barrier_type is BarrierType.UP_AND_OUT)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-170], ids=["sigma0", "sigma-squared-underflows"])
+@pytest.mark.parametrize(
+    "barrier_type, rate, payoff_type",
+    [(BarrierType.UP_AND_OUT, 0.15, PayoffType.CALL), (BarrierType.DOWN_AND_OUT, -0.15, PayoffType.PUT)],
+    ids=["up", "down"],
+)
+def test_frozen_paths_price_alike_in_both_estimators(sigma, barrier_type, rate, payoff_type):
+    """A frozen path that touches a level on an Euler point survives up-and-out and dies down-and-out in both.
+
+    The levels are the five Euler points of the frozen path, which rises
+    at r = 0.15 and falls at r = -0.15.  The indicator draws each
+    segment's extreme as max(x, y) or min(x, y) exactly, and keeps a path
+    whose minimum is on a down-and-out level out of the survivors, as
+    ``no_crossing`` does.  Drawn from the root 0.5 (x + y + |x - y|), the
+    maximum rounded past the end of two of the rising segments, and the
+    up-and-out call priced 0.0 at 115.92740743 against the conditional
+    product's 13.708846618772727.
+    """
+    n = 5
+    model = BlackScholes(r=rate, sigma=sigma, x0=100.0)
+    levels = euler_path(replace(FLAT, r=rate), n, 1.0, np.zeros(n))[1:]
+    contract = BarrierContract(barrier_type, payoff_type, 100.0, levels[0], 1.0)
+
+    def prices(estimator):
+        return [r.price.hex() for r in rbb_price_levels(model, contract, levels, McConfig(n, 100, 1, estimator))]
+
+    indicator = prices(Estimator.INDICATOR)
+    assert indicator == prices(Estimator.CONDITIONAL_PRODUCT)
+    assert (float.fromhex(indicator[-1]) > 0.0) is (barrier_type is BarrierType.UP_AND_OUT)
+
+
+@pytest.mark.parametrize("estimator", list(Estimator))
+def test_variances_do_not_depend_on_the_level_count(estimator):
+    """Each level's sum of squares is taken over its own row, so 30 levels in one call give the bits of 30 calls."""
+    levels = np.linspace(101.0, 140.0, 30)
+    cfg = McConfig(6, 40_000, 3, estimator)
+    together = rbb_price_levels(PCEV07, uoc(100.0), levels, cfg)
+    for level, result in zip(levels, together):
+        alone = rbb_price_levels(PCEV07, uoc(100.0), level, cfg)[0]
+        assert (result.price.hex(), result.sample_variance.hex()) == (alone.price.hex(), alone.sample_variance.hex())
+
+
+def _random_valid_input(rng):
+    """One draw of (model, contract, levels, config) over wide valid ranges."""
+    x0 = 10.0 ** rng.uniform(-6.0, 6.0)
+    r = rng.uniform(-1.0, 1.0)
+    maturity = 30.0 * (1.0 - rng.random())
+    if rng.random() < 0.5:
+        model = BlackScholes(r, (0.0, 1e-170, 3.0 * rng.random())[rng.integers(3)], x0)
+    else:
+        model = PseudoCEV(r, 20.0 * (1.0 - rng.random()), 0.99 * (1.0 - rng.random()), x0)
+    levels = [x0 * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0)), x0 * 10.0 ** rng.uniform(-1.0, 1.0)]
+    barrier_type, payoff_type = list(BarrierType)[rng.integers(2)], list(PayoffType)[rng.integers(2)]
+    contract = BarrierContract(barrier_type, payoff_type, x0 * 10.0 ** rng.uniform(-1.0, 1.0), levels[1], maturity)
+    cfg = McConfig(int(rng.integers(1, 21)), 300, int(rng.integers(2**63)), list(Estimator)[rng.integers(2)])
+    return model, contract, levels, cfg
+
+
+def test_random_valid_inputs_price_finite_and_repeatably():
+    """300 seeded draws price finite and >= 0 with no warning, and the same again by ``float.hex``.
+
+    x0 1e-6..1e6, T up to 30, r -1..1; Black-Scholes sigma up to 3, with 0
+    and 1e-170 among the draws; pseudo-CEV vartheta up to 20 and delta up
+    to 0.99; one level within 1e-7 relative of x0 and one within a factor
+    10; both estimators, sides and payoffs; 300 paths at 1-20 steps.
+    """
+    rng = np.random.default_rng(2027)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            args = _random_valid_input(rng)
+            first, again = ([x.hex() for r in rbb_price_levels(*args) for x in (r.price, r.sample_variance)]
+                            for _ in range(2))
+            assert first == again, args
+            assert all(math.isfinite(v) and v >= 0.0 for v in map(float.fromhex, first)), args
 
 
 LEVELS = {BarrierType.UP_AND_OUT: (105.0, 112.0, 120.0, 130.0), BarrierType.DOWN_AND_OUT: (85.0, 92.0, 97.0)}

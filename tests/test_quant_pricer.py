@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import fqbarrier.quant_pricer as quant_pricer
-from fqbarrier.bridge import BridgeParams, bridge_max_cdf, bridge_min_cdf
 from fqbarrier.brownian import brownian_product_quantizer
 from fqbarrier.closed_form import barrier_price, vanilla_price
 from fqbarrier.contracts import BarrierContract, BarrierType, PayoffType
@@ -25,7 +24,16 @@ from fqbarrier.quant_pricer import (
     price_barrier_quant,
 )
 from fqbarrier.tables import TABLE_SPECS
-from tests.conftest import BS07, PCEV07, chain_measures, chain_price, full_matrix, sorted_points
+from tests.conftest import (
+    BS07,
+    PCEV07,
+    bridge_max_cdf,
+    bridge_min_cdf,
+    chain_measures,
+    chain_price,
+    full_matrix,
+    sorted_points,
+)
 
 
 def uoc(barrier, strike=100.0):
@@ -64,8 +72,7 @@ class TestSurvival:
         assert _live_cells(gp, uoc(115.0)) == _live_cells(gn, uoc(115.0)) == (0, 2)
         assert _live_cells(gp, doc(100.0)) == _live_cells(gn, doc(100.0)) == (1, 3)
         # the oracle's survival factor kills the same rows and columns
-        params = BridgeParams(10, 1.0, np.asarray(BS07.diffusion(gp))[:, None])
-        g = bridge_max_cdf(gp[:, None], gn[None, :], 115.0, params)
+        g = bridge_max_cdf(gp[:, None], gn[None, :], 115.0, 10, 1.0, np.asarray(BS07.diffusion(gp))[:, None])
         assert np.all(g[2, :] == 0.0) and np.all(g[:, 2] == 0.0)
 
     def test_single_cell_frozen_value(self):
@@ -99,12 +106,12 @@ class TestSurvival:
         x = np.array([L + side * rows[i][0] for i in order])
         sigma = np.array([rows[i][1] for i in order])
         p = np.random.default_rng(7).uniform(0.01, 1.0, size=(x.size, y.size))
-        params = BridgeParams(1, 1.0, sigma[:, None])
+        bridge = (x[:, None], y[None, :], L, 1, 1.0, sigma[:, None])
         contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, L, 1.0)
         if barrier_type is BarrierType.UP_AND_OUT:
-            expected = p * bridge_max_cdf(x[:, None], y[None, :], L, params)
+            expected = p * bridge_max_cdf(*bridge)
         else:
-            expected = p * (1 - bridge_min_cdf(x[:, None], y[None, :], L, params))
+            expected = p * (1 - bridge_min_cdf(*bridge))
         live_rows, live_cols = (slice(*_live_cells(points, contract)) for points in (x, y))
         dead = np.ones_like(p, dtype=bool)
         dead[live_rows, live_cols] = False
@@ -152,12 +159,11 @@ class TestSurvival:
         contract = BarrierContract(barrier_type, PayoffType.CALL, 100.0, L, 1.0)
         sigma = np.asarray(BS07.diffusion(x), dtype=float)
         p = np.random.default_rng(11).uniform(0.01, 1.0, size=(3, 8))
-        params = BridgeParams(400, 1.0, sigma[rows, None])
-        xs, ys = x[rows, None], y[None, cols]
+        bridge = (x[rows, None], y[None, cols], L, 400, 1.0, sigma[rows, None])
         if barrier_type is BarrierType.UP_AND_OUT:
-            expected = p * bridge_max_cdf(xs, ys, L, params)
+            expected = p * bridge_max_cdf(*bridge)
         else:
-            expected = p * (1 - bridge_min_cdf(xs, ys, L, params))
+            expected = p * (1 - bridge_min_cdf(*bridge))
         H = p.copy()
         _Survival(x, y, sigma, contract, 400, 1.0).damp(H, rows, cols, spare=np.empty(H.size))
         assert np.array_equal(H, expected)
